@@ -15,15 +15,15 @@
 
 use crate::ast::{Atom, ConjunctiveQuery, Term};
 use crate::minimize::{differential_validate, minimize};
-use crate::storage::NamedDatabase;
+use crate::storage::{NamedDatabase, StoredRelation};
 use mjoin_analyze::{memory_report, AnalysisCx, Certificate};
-use mjoin_core::{derive, run_pipeline_with, FirstChoice};
+use mjoin_core::derive;
 use mjoin_expr::JoinTree;
 use mjoin_hypergraph::{agm_ln, bound_u64, DbScheme};
 use mjoin_optimizer::{greedy, optimize, EstimateOracle, SearchSpace};
-use mjoin_program::{ExecConfig, SharedIndexCache};
+use mjoin_program::{execute_with, ExecConfig, Program, SharedIndexCache};
 use mjoin_relation::{
-    ops, AttrId, Catalog, CostLedger, Database, Error, Relation, Result, Row, Schema, Value,
+    ops, tsv, AttrId, Catalog, CostLedger, Database, Error, Relation, Result, Row, Schema, Value,
 };
 use mjoin_wcoj::{select, wcoj_join, ExecutorKind};
 use std::sync::Arc;
@@ -134,16 +134,7 @@ impl QueryResult {
     /// Result tuples with columns in *head-variable order* (the relation
     /// itself stores canonical order), sorted for determinism.
     pub fn rows_in_head_order(&self) -> Vec<Vec<Value>> {
-        let positions: Vec<usize> = self
-            .head_attrs
-            .iter()
-            .map(|&a| {
-                self.relation
-                    .schema()
-                    .position(a)
-                    .expect("head attr in result")
-            })
-            .collect();
+        let positions = self.head_positions();
         let mut rows: Vec<Vec<Value>> = self
             .relation
             .rows()
@@ -152,6 +143,34 @@ impl QueryResult {
             .collect();
         rows.sort_unstable();
         rows
+    }
+
+    /// Write the answer as TSV: the head variables as the header, then the
+    /// result tuples in head-variable order (a repeated head variable
+    /// repeats its column), sorted like [`QueryResult::rows_in_head_order`],
+    /// cells escaped so string values round-trip through
+    /// [`tsv::relation_from_tsv`]. The one TSV writer for query answers,
+    /// rendered straight from the result's columns.
+    pub fn write_tsv<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
+        let header: Vec<&str> = self
+            .head_attrs
+            .iter()
+            .map(|&a| self.catalog.name(a))
+            .collect();
+        tsv::columns_to_tsv_writer(&header, &self.relation, &self.head_positions(), out)
+    }
+
+    /// Each head variable's column position in the result relation.
+    fn head_positions(&self) -> Vec<usize> {
+        self.head_attrs
+            .iter()
+            .map(|&a| {
+                self.relation
+                    .schema()
+                    .position(a)
+                    .expect("head attr in result")
+            })
+            .collect()
     }
 
     /// Number of result tuples.
@@ -165,11 +184,8 @@ impl QueryResult {
     }
 }
 
-/// Bind one atom: produce a relation over its variables' attributes.
-///
-/// All-constant atoms bind to the nullary unit (condition true) or the empty
-/// nullary relation (condition false).
-fn bind_atom(ndb: &NamedDatabase, atom: &Atom, qcat: &mut Catalog) -> Result<Relation> {
+/// The stored relation an atom names, checked against the atom's arity.
+fn stored_for<'a>(ndb: &'a NamedDatabase, atom: &Atom) -> Result<&'a StoredRelation> {
     let stored = ndb
         .get(&atom.predicate)
         .ok_or_else(|| Error::Parse(format!("unknown relation `{}`", atom.predicate)))?;
@@ -179,6 +195,58 @@ fn bind_atom(ndb: &NamedDatabase, atom: &Atom, qcat: &mut Catalog) -> Result<Rel
             got: atom.terms.len(),
         });
     }
+    Ok(stored)
+}
+
+/// Bind one atom column-wise: produce a relation over its variables'
+/// attributes (interned into `qcat` in first-use order) without copying
+/// the stored tuples where the atom only renames them.
+///
+/// An atom of distinct variables is a pure [`ops::rename`], sharing the
+/// stored columns. Constants and repeated variables go through
+/// [`ops::select_where`], then [`ops::project`] onto each variable's
+/// first-use column, then the rename. All-constant atoms bind to the
+/// nullary unit (condition true) or the empty nullary relation (condition
+/// false).
+pub fn bind_atom(ndb: &NamedDatabase, atom: &Atom, qcat: &mut Catalog) -> Result<Relation> {
+    let stored = stored_for(ndb, atom)?;
+    // Stored attribute of each variable's first use → the variable.
+    let mut mapping: Vec<(AttrId, AttrId)> = Vec::new();
+    let mut first_use: Vec<(&str, usize)> = Vec::new();
+    let mut consts: Vec<(usize, &Value)> = Vec::new();
+    let mut repeats: Vec<(usize, usize)> = Vec::new();
+    for (i, term) in atom.terms.iter().enumerate() {
+        let pos = stored.canonical_position(i);
+        match term {
+            Term::Const(v) => consts.push((pos, v)),
+            Term::Var(name) => match first_use.iter().find(|(n, _)| n == name) {
+                Some(&(_, first)) => repeats.push((first, pos)),
+                None => {
+                    first_use.push((name, pos));
+                    mapping.push((stored.columns[i], qcat.intern(name)));
+                }
+            },
+        }
+    }
+    if consts.is_empty() && repeats.is_empty() {
+        return ops::rename(&stored.relation, &mapping);
+    }
+    let selected = ops::select_where(&stored.relation, |row| {
+        consts.iter().all(|&(p, v)| row[p] == *v) && repeats.iter().all(|&(p, q)| row[p] == row[q])
+    });
+    let firsts: Vec<AttrId> = mapping.iter().map(|&(from, _)| from).collect();
+    ops::rename(&ops::project(&selected, &firsts)?, &mapping)
+}
+
+/// Reference binder for [`execute_query_naive`]: the same contract as
+/// [`bind_atom`], computed one stored row at a time so the differential
+/// oracle shares no binding code with the executor it checks.
+pub fn bind_atom_reference(
+    ndb: &NamedDatabase,
+    atom: &Atom,
+    qcat: &mut Catalog,
+) -> Result<Relation> {
+    let stored = stored_for(ndb, atom)?;
 
     // For each term, the canonical position of its column in the stored rows.
     let positions: Vec<usize> = (0..atom.terms.len())
@@ -469,30 +537,35 @@ fn run_component(
         ledger.charge_generated(format!("wcoj over component {comp_name}"), rel.len());
         Arc::new(rel)
     };
-    let run_program = |tree: &JoinTree, ledger: &mut CostLedger| -> Result<Arc<Relation>> {
-        let run = run_pipeline_with(comp_scheme, tree, comp_db, &mut FirstChoice, |d| {
-            let mut cfg = ExecConfig::with_threads(opts.threads);
-            if let Some(budget) = opts.mem_budget {
-                cfg.mem_budget = Some(budget);
-                // Certify the derived program and gate the spill path on
-                // the certificate — an unanalyzable program (which the
-                // pipeline never produces) just runs unspilled.
-                if let Ok(cx) = AnalysisCx::new(&d.program, comp_scheme, qcat) {
-                    let plan = memory_report(&cx, &sizes).spill_plan(budget);
-                    if plan.any() {
-                        cfg.spill = Some(Arc::new(plan));
-                    }
+    // The CQ path never evaluates the input tree `T₁`: it needs the
+    // derived program's result and §2.3 cost, not Theorem 2's comparison.
+    let run_program = |program: &Program, ledger: &mut CostLedger| -> Arc<Relation> {
+        let mut cfg = ExecConfig::with_threads(opts.threads);
+        if let Some(budget) = opts.mem_budget {
+            cfg.mem_budget = Some(budget);
+            // Certify the derived program and gate the spill path on the
+            // certificate — an unanalyzable program (which the pipeline
+            // never produces) just runs unspilled.
+            if let Ok(cx) = AnalysisCx::new(program, comp_scheme, qcat) {
+                let plan = memory_report(&cx, &sizes).spill_plan(budget);
+                if plan.any() {
+                    cfg.spill = Some(Arc::new(plan));
                 }
             }
-            cfg
-        })
-        .map_err(|e| Error::Parse(e.to_string()))?;
+        }
+        let exec = execute_with(program, comp_db, &cfg);
         // Program cost minus the inputs (already charged at binding).
         ledger.charge_generated(
             format!("program over component {comp_name}"),
-            (run.program_cost() - comp_db.total_tuples()) as usize,
+            (exec.cost() - comp_db.total_tuples()) as usize,
         );
-        Ok(run.exec.result)
+        exec.result
+    };
+    let derive_program = || -> Result<Program> {
+        let tree = pick_tree(comp_scheme, comp_db, strategy)?;
+        derive(comp_scheme, &tree)
+            .map(|d| d.program)
+            .map_err(|e| Error::Parse(e.to_string()))
     };
 
     match opts.executor {
@@ -509,9 +582,9 @@ fn run_component(
             ))
         }
         ExecutorKind::Program => {
-            let tree = pick_tree(comp_scheme, comp_db, strategy)?;
+            let program = derive_program()?;
             Ok((
-                run_program(&tree, ledger)?,
+                run_program(&program, ledger),
                 ComponentDecision {
                     component: comp_name.to_string(),
                     executor: ExecutorKind::Program,
@@ -521,16 +594,15 @@ fn run_component(
             ))
         }
         ExecutorKind::Auto => {
-            let tree = pick_tree(comp_scheme, comp_db, strategy)?;
-            let derivation = derive(comp_scheme, &tree).map_err(|e| Error::Parse(e.to_string()))?;
-            let cx = AnalysisCx::new(&derivation.program, comp_scheme, qcat)
+            let program = derive_program()?;
+            let cx = AnalysisCx::new(&program, comp_scheme, qcat)
                 .map_err(|e| Error::Parse(e.to_string()))?;
             let cert = Certificate::compute(&cx);
             let sel = select(comp_scheme, &sizes, &cert);
             let result = if sel.use_wcoj {
                 run_wcoj(ledger)
             } else {
-                run_program(&tree, ledger)?
+                run_program(&program, ledger)
             };
             Ok((
                 result,
@@ -549,10 +621,10 @@ fn run_component(
     }
 }
 
-/// Reference executor: bind atoms, fold-join them naively (in body order,
-/// Cartesian products and all), project. Used as the differential-testing
-/// oracle for [`execute_query`]; do not use it for anything performance
-/// sensitive.
+/// Reference executor: bind atoms row by row ([`bind_atom_reference`]),
+/// fold-join them naively (in body order, Cartesian products and all),
+/// project. Used as the differential-testing oracle for [`execute_query`];
+/// do not use it for anything performance sensitive.
 pub fn execute_query_naive(ndb: &NamedDatabase, query: &ConjunctiveQuery) -> Result<Relation> {
     if !query.is_safe() {
         return Err(Error::Parse("unsafe query".to_string()));
@@ -560,7 +632,7 @@ pub fn execute_query_naive(ndb: &NamedDatabase, query: &ConjunctiveQuery) -> Res
     let mut qcat = Catalog::new();
     let mut acc = Relation::nullary_unit();
     for atom in &query.body {
-        let rel = bind_atom(ndb, atom, &mut qcat)?;
+        let rel = bind_atom_reference(ndb, atom, &mut qcat)?;
         acc = ops::join(&acc, &rel);
     }
     let head_attrs: Vec<AttrId> = query

@@ -21,8 +21,8 @@ pub mod storage;
 
 pub use ast::{Atom, ConjunctiveQuery, Term};
 pub use compile::{
-    execute_query, execute_query_naive, execute_query_with, query_agm_bound, ComponentDecision,
-    ExecOptions, MinimizeSummary, PlanStrategy, QueryResult,
+    bind_atom, bind_atom_reference, execute_query, execute_query_naive, execute_query_with,
+    query_agm_bound, ComponentDecision, ExecOptions, MinimizeSummary, PlanStrategy, QueryResult,
 };
 pub use datalog::{evaluate_datalog, parse_rules, DatalogResult};
 pub use hom::{contains, equivalent, homomorphism, Hom};

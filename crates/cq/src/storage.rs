@@ -6,7 +6,7 @@
 //! terms bind to positionally.
 
 use mjoin_relation::fxhash::FxHashMap;
-use mjoin_relation::{tsv, AttrId, Catalog, Error, Relation, Result, Row, Schema, Value};
+use mjoin_relation::{ops, tsv, AttrId, Catalog, Error, Relation, Result, Row, Schema, Value};
 
 /// One stored relation with its declared column order.
 #[derive(Debug, Clone)]
@@ -117,25 +117,7 @@ impl NamedDatabase {
         column_names: &[&str],
         tuples: Vec<Vec<Value>>,
     ) -> Result<()> {
-        if self.index.contains_key(name) {
-            return Err(Error::Parse(format!("relation `{name}` already exists")));
-        }
-        // Qualify column names so `R.a` and `S.a` are unrelated attributes;
-        // joins come from query variables, not column-name coincidence.
-        let columns: Vec<AttrId> = column_names
-            .iter()
-            .map(|c| self.catalog.intern(&format!("{name}.{c}")))
-            .collect();
-        {
-            let mut sorted = columns.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() != columns.len() {
-                return Err(Error::Parse(format!(
-                    "relation `{name}` repeats a column name"
-                )));
-            }
-        }
+        let columns = self.declare(name, column_names)?;
         let schema = Schema::new(columns.clone());
         // Permute declared-order tuples into canonical positions.
         let dest: Vec<usize> = columns
@@ -157,39 +139,84 @@ impl NamedDatabase {
             rows.push(row.into());
         }
         let relation = Relation::from_rows(schema, rows)?;
+        self.insert(name, columns, relation);
+        Ok(())
+    }
+
+    /// Add `rel` under `name` without copying a tuple: its schema's
+    /// attributes, in canonical order, are declared as `column_names` and
+    /// renamed onto the qualified `name.col` attributes, so the stored
+    /// relation shares `rel`'s `Arc`-backed columns.
+    pub fn add_relation_shared(
+        &mut self,
+        name: &str,
+        column_names: &[&str],
+        rel: &Relation,
+    ) -> Result<()> {
+        if column_names.len() != rel.schema().arity() {
+            return Err(Error::ArityMismatch {
+                expected: rel.schema().arity(),
+                got: column_names.len(),
+            });
+        }
+        let columns = self.declare(name, column_names)?;
+        let mapping: Vec<(AttrId, AttrId)> = rel
+            .schema()
+            .attrs()
+            .iter()
+            .copied()
+            .zip(columns.iter().copied())
+            .collect();
+        let relation = ops::rename(rel, &mapping)?;
+        self.insert(name, columns, relation);
+        Ok(())
+    }
+
+    /// Intern `name`'s qualified column attributes in declared order,
+    /// rejecting a name already stored or a repeated column.
+    fn declare(&mut self, name: &str, column_names: &[&str]) -> Result<Vec<AttrId>> {
+        if self.index.contains_key(name) {
+            return Err(Error::Parse(format!("relation `{name}` already exists")));
+        }
+        // Qualify column names so `R.a` and `S.a` are unrelated attributes;
+        // joins come from query variables, not column-name coincidence.
+        let columns: Vec<AttrId> = column_names
+            .iter()
+            .map(|c| self.catalog.intern(&format!("{name}.{c}")))
+            .collect();
+        let mut sorted = columns.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.len() != columns.len() {
+            return Err(Error::Parse(format!(
+                "relation `{name}` repeats a column name"
+            )));
+        }
+        Ok(columns)
+    }
+
+    fn insert(&mut self, name: &str, columns: Vec<AttrId>, relation: Relation) {
         self.index.insert(name.to_string(), self.relations.len());
         self.relations.push(StoredRelation {
             name: name.to_string(),
             columns,
             relation,
         });
-        Ok(())
     }
 
     /// Add a relation from TSV text (header = declared column order).
     pub fn add_tsv(&mut self, name: &str, text: &str) -> Result<()> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines
-            .next()
-            .ok_or_else(|| Error::Parse("TSV input has no header".to_string()))?;
-        let cols: Vec<&str> = header.split('\t').map(str::trim).collect();
-        // Reuse the TSV row parser by reparsing with a scratch catalog, then
-        // pull rows back out in declared order.
+        // A fresh catalog interns the header in file order, so the parsed
+        // relation's canonical order *is* the declared order.
         let mut scratch = Catalog::new();
         let rel = tsv::relation_from_tsv(&mut scratch, text)?;
-        let positions: Vec<usize> = cols
+        let cols: Vec<&str> = rel
+            .schema()
+            .attrs()
             .iter()
-            .map(|c| {
-                let id = scratch.lookup(c).expect("header interned");
-                rel.schema().position(id).expect("in schema")
-            })
+            .map(|&a| scratch.name(a))
             .collect();
-        let tuples: Vec<Vec<Value>> = rel
-            .rows()
-            .iter()
-            .map(|row| positions.iter().map(|&p| row[p].clone()).collect())
-            .collect();
-        self.add_relation_values(name, &cols, tuples)
+        self.add_relation_shared(name, &cols, &rel)
     }
 
     /// Look up a stored relation by name.
@@ -249,6 +276,44 @@ mod tests {
         assert!(db.add_relation("r", &["a"], &[&[1]]).is_err());
         assert!(db.add_relation("s", &["a", "a"], &[&[1, 2]]).is_err());
         assert!(db.add_relation("t", &["a", "b"], &[&[1]]).is_err());
+    }
+
+    #[test]
+    fn shared_relation_reuses_the_source_columns() {
+        use mjoin_relation::Column;
+        let mut src_cat = Catalog::new();
+        let src = tsv::relation_from_tsv(&mut src_cat, "a\tb\n1\tx\n2\ty\n").unwrap();
+        let names: Vec<&str> = src
+            .schema()
+            .attrs()
+            .iter()
+            .map(|&a| src_cat.name(a))
+            .collect();
+        let mut db = NamedDatabase::new();
+        // Interning another relation first gives `r`'s attributes ids in a
+        // different relative position than the source catalog's.
+        db.add_relation("q", &["z"], &[&[0]]).unwrap();
+        db.add_relation_shared("r", &names, &src).unwrap();
+        let stored = db.get("r").unwrap();
+        assert_eq!(stored.relation.len(), 2);
+        for (i, &a) in src.schema().attrs().iter().enumerate() {
+            let from = &src.columns()[src.schema().position(a).unwrap()];
+            let to = &stored.relation.columns()[stored.canonical_position(i)];
+            let shared = match (from, to) {
+                (Column::Int(x), Column::Int(y)) => std::sync::Arc::ptr_eq(x, y),
+                (Column::Dict { codes: x, .. }, Column::Dict { codes: y, .. }) => {
+                    std::sync::Arc::ptr_eq(x, y)
+                }
+                _ => false,
+            };
+            assert!(shared, "column `{}` was copied", names[i]);
+        }
+        assert!(stored
+            .relation
+            .contains_row(&[Value::Int(1), Value::str("x")]));
+        assert!(db.add_relation_shared("r", &names, &src).is_err());
+        assert!(db.add_relation_shared("s", &["a"], &src).is_err());
+        assert!(db.add_relation_shared("t", &["a", "a"], &src).is_err());
     }
 
     #[test]

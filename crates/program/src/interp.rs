@@ -1279,6 +1279,7 @@ mod tests {
 
     #[test]
     fn join_program_computes_full_join() {
+        let _serial = crate::trace_lock();
         let (_c, scheme, db) = chain_db();
         let mut b = ProgramBuilder::new(&scheme);
         let v = b.new_temp_alias("V", Reg::Base(0));
@@ -1294,6 +1295,7 @@ mod tests {
 
     #[test]
     fn semijoin_reduction_lowers_cost() {
+        let _serial = crate::trace_lock();
         let (_c, scheme, db) = chain_db();
         // Reduce AB by BC before joining: dangling (9,8) disappears early.
         let mut b = ProgramBuilder::new(&scheme);
@@ -1310,6 +1312,7 @@ mod tests {
 
     #[test]
     fn alias_reads_through_without_cost() {
+        let _serial = crate::trace_lock();
         let (_c, scheme, db) = chain_db();
         let mut b = ProgramBuilder::new(&scheme);
         let v = b.new_temp_alias("V", Reg::Base(0));
@@ -1324,6 +1327,7 @@ mod tests {
 
     #[test]
     fn peak_resident_tracks_live_registers() {
+        let _serial = crate::trace_lock();
         let (_c, scheme, db) = chain_db();
         let mut b = ProgramBuilder::new(&scheme);
         let v = b.new_temp_alias("V", Reg::Base(0));
@@ -1338,6 +1342,7 @@ mod tests {
 
     #[test]
     fn projection_statement() {
+        let _serial = crate::trace_lock();
         let (c, scheme, db) = chain_db();
         let mut b = ProgramBuilder::new(&scheme);
         let f = b.new_temp("F");
@@ -1351,6 +1356,7 @@ mod tests {
 
     #[test]
     fn base_register_can_be_reduced_in_place() {
+        let _serial = crate::trace_lock();
         let (_c, scheme, db) = chain_db();
         let mut b = ProgramBuilder::new(&scheme);
         b.semijoin(Reg::Base(0), Reg::Base(1));
@@ -1364,6 +1370,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "disagree on the number of relations")]
     fn wrong_database_size_panics() {
+        let _serial = crate::trace_lock();
         let (_c, scheme, db) = chain_db();
         let b = ProgramBuilder::new(&scheme);
         let p = b.finish(Reg::Base(0));
@@ -1373,6 +1380,7 @@ mod tests {
 
     #[test]
     fn reading_a_register_shares_rather_than_copies() {
+        let _serial = crate::trace_lock();
         let (_c, scheme, db) = chain_db();
         let b = ProgramBuilder::new(&scheme);
         let p = b.finish(Reg::Base(0));
@@ -1387,6 +1395,7 @@ mod tests {
 
     #[test]
     fn parallel_outcome_matches_sequential_exactly() {
+        let _serial = crate::trace_lock();
         let (_c, scheme, db) = chain_db();
         let mut b = ProgramBuilder::new(&scheme);
         // Mix of parallelizable reductions and a serial join chain.
@@ -1408,6 +1417,7 @@ mod tests {
 
     #[test]
     fn index_cache_fingerprint_hits_on_tsv_reload() {
+        let _serial = crate::trace_lock();
         use mjoin_relation::tsv::{relation_from_tsv, relation_to_tsv};
         let mut c = Catalog::new();
         let ab = relation_of_ints(&mut c, "AB", &[&[1, 2], &[5, 6]]).unwrap();
@@ -1447,6 +1457,7 @@ mod tests {
     /// underflow.
     #[test]
     fn cache_accounting_survives_churn_with_shared_dicts() {
+        let _serial = crate::trace_lock();
         use mjoin_relation::Value;
         let mut c = Catalog::new();
         let a = c.intern("A");
@@ -1501,6 +1512,7 @@ mod tests {
     /// the content check and miss instead of returning the wrong index.
     #[test]
     fn stale_fingerprint_alias_never_serves_another_relations_index() {
+        let _serial = crate::trace_lock();
         let mut c = Catalog::new();
         let r1 = Arc::new(relation_of_ints(&mut c, "AB", &[&[1, 2], &[3, 4]]).unwrap());
         let r2 = Arc::new(relation_of_ints(&mut c, "AB", &[&[5, 6], &[7, 8]]).unwrap());
@@ -1536,6 +1548,7 @@ mod tests {
     /// count against one budget, and the trie counters are distinct.
     #[test]
     fn trie_and_hash_entries_coexist_under_one_budget() {
+        let _serial = crate::trace_lock();
         use mjoin_relation::ops::TrieIndex;
         mjoin_trace::set_enabled(true);
         let _ = mjoin_trace::take();
@@ -1574,6 +1587,7 @@ mod tests {
     /// against the cache's byte budget.
     #[test]
     fn trie_cache_accounting_includes_permutation_bytes() {
+        let _serial = crate::trace_lock();
         use mjoin_relation::ops::TrieIndex;
         let mut c = Catalog::new();
         let r = Arc::new(relation_of_ints(&mut c, "AB", &[&[1, 2], &[3, 4]]).unwrap());
@@ -1599,6 +1613,7 @@ mod tests {
     /// the `mem.*` counters record the partition work.
     #[test]
     fn spill_plan_routes_statements_through_grace_hash() {
+        let _serial = crate::trace_lock();
         let (_c, scheme, db) = chain_db();
         let mut b = ProgramBuilder::new(&scheme);
         let v = b.new_temp_alias("V", Reg::Base(0));
@@ -1643,6 +1658,7 @@ mod tests {
     /// indices from one run into the next — the resident-server path.
     #[test]
     fn shared_cache_is_warm_across_runs() {
+        let _serial = crate::trace_lock();
         let (_c, scheme, db) = chain_db();
         let mut b = ProgramBuilder::new(&scheme);
         b.semijoin(Reg::Base(0), Reg::Base(1));
@@ -1675,6 +1691,7 @@ mod tests {
     /// token that never fires changes nothing.
     #[test]
     fn cancellation_stops_at_statement_boundaries() {
+        let _serial = crate::trace_lock();
         let (_c, scheme, db) = chain_db();
         let mut b = ProgramBuilder::new(&scheme);
         let v = b.new_temp_alias("V", Reg::Base(0));
@@ -1711,6 +1728,7 @@ mod tests {
 
     #[test]
     fn parallel_empty_program() {
+        let _serial = crate::trace_lock();
         let (_c, scheme, db) = chain_db();
         let b = ProgramBuilder::new(&scheme);
         let p = b.finish(Reg::Base(2));

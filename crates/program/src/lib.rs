@@ -41,3 +41,14 @@ pub use program::{Program, ProgramBuilder};
 pub use schedule::{audit_schedule, schedule, Schedule, ScheduleAuditError};
 pub use stmt::{Reg, Stmt};
 pub use validate::{validate, ValidateError, ValidationInfo};
+
+/// Serializes this crate's tests that toggle the process-global trace sink
+/// or run the executor: under the parallel test runner one test's
+/// `clear`/`take` would otherwise drain, or count, another's events. A test
+/// that panics while holding the lock does not fail the ones after it.
+#[cfg(test)]
+pub(crate) fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

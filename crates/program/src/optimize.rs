@@ -65,6 +65,7 @@ mod tests {
 
     #[test]
     fn removes_unreachable_statement() {
+        let _serial = crate::trace_lock();
         let (_c, s, db) = setup();
         let mut b = ProgramBuilder::new(&s);
         let v = b.new_temp_alias("V", Reg::Base(0));
@@ -82,6 +83,7 @@ mod tests {
 
     #[test]
     fn keeps_semijoin_chains() {
+        let _serial = crate::trace_lock();
         let (_c, s, db) = setup();
         let mut b = ProgramBuilder::new(&s);
         let v = b.new_temp_alias("V", Reg::Base(0));
@@ -96,6 +98,7 @@ mod tests {
 
     #[test]
     fn removes_overwritten_head() {
+        let _serial = crate::trace_lock();
         let (c, s, db) = setup();
         let mut b = ProgramBuilder::new(&s);
         let f = b.new_temp("F");
@@ -193,6 +196,7 @@ mod tests {
 
     #[test]
     fn dce_preserves_semantics_on_random_programs() {
+        let _serial = crate::trace_lock();
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut c = Catalog::new();
         let s = DbScheme::parse(&mut c, &["AB", "BC", "CD", "DE", "EF", "FA"]);
@@ -223,6 +227,7 @@ mod tests {
 
     #[test]
     fn alias_only_result_keeps_its_feeding_statement() {
+        let _serial = crate::trace_lock();
         // Regression for the pre-bitset bug: the result is an unwritten
         // variable aliasing Base(0); the statement reducing Base(0) feeds
         // the result only through the alias chain and must be kept.
@@ -240,6 +245,7 @@ mod tests {
 
     #[test]
     fn dead_base_semijoin_removed_when_result_elsewhere() {
+        let _serial = crate::trace_lock();
         // A full-reducer-like program asked only for one relation: the
         // semijoins into other bases are dead for that query.
         let (_c, s, db) = setup();

@@ -270,6 +270,7 @@ R(V) := R(V) ⋈ R(GHA)
 
     #[test]
     fn parses_example6_and_computes_join() {
+        let _serial = crate::trace_lock();
         let (c, s, db) = setup();
         let p = parse_program(&c, &s, EXAMPLE6).unwrap();
         assert_eq!(p.len(), 10);
@@ -280,6 +281,7 @@ R(V) := R(V) ⋈ R(GHA)
 
     #[test]
     fn render_parse_roundtrip() {
+        let _serial = crate::trace_lock();
         let (c, s, db) = setup();
         let p = parse_program(&c, &s, EXAMPLE6).unwrap();
         let text = render(&p, &s, &c);
@@ -290,6 +292,7 @@ R(V) := R(V) ⋈ R(GHA)
 
     #[test]
     fn ascii_operators_accepted() {
+        let _serial = crate::trace_lock();
         let (c, s, db) = setup();
         let text = "\
 R(V) := R(ABC) |x R(CDE)

@@ -220,14 +220,9 @@ pub(crate) fn read_rows_tsv<R: std::io::BufRead>(reader: R, arity: usize) -> Res
 }
 
 /// Stream a relation as TSV (canonical column order, sorted rows) into any
-/// [`std::io::Write`] sink, one row at a time.
-///
-/// The rows are emitted straight from the column vectors: the row order is a
-/// sorted *id permutation* (compared column-wise, same `Value` ordering as
-/// [`Relation::sorted_rows`]), and each dictionary entry is escaped exactly
-/// once — every later occurrence writes the cached cell bytes. No row view
-/// is materialized and no output `String` proportional to the relation is
-/// built, so dumping a large result costs O(dict + ids) transient memory.
+/// [`std::io::Write`] sink, one row at a time. Thin wrapper over
+/// [`columns_to_tsv_writer`] with the schema's attribute names as the
+/// header and every column once, in canonical order.
 pub fn relation_to_tsv_writer<W: std::io::Write>(
     catalog: &Catalog,
     rel: &Relation,
@@ -239,14 +234,37 @@ pub fn relation_to_tsv_writer<W: std::io::Write>(
         .iter()
         .map(|&a| catalog.name(a))
         .collect();
-    out.write_all(names.join("\t").as_bytes())?;
+    let positions: Vec<usize> = (0..rel.schema().arity()).collect();
+    columns_to_tsv_writer(&names, rel, &positions, out)
+}
+
+/// Stream the columns of `rel` at `positions` as TSV under the header line
+/// `header` (one name per position). A position may repeat, so a
+/// conjunctive query's head `Q(x, x)` renders both cells from one column.
+///
+/// The rows are emitted straight from the column vectors: the row order is a
+/// sorted *id permutation* (compared column-wise in `positions` order, same
+/// `Value` ordering as sorting the rendered tuples), and each dictionary
+/// entry is escaped exactly once — every later occurrence writes the cached
+/// cell bytes. No row view is materialized and no output `String`
+/// proportional to the relation is built, so dumping a large result costs
+/// O(dict + ids) transient memory.
+pub fn columns_to_tsv_writer<W: std::io::Write>(
+    header: &[&str],
+    rel: &Relation,
+    positions: &[usize],
+    out: &mut W,
+) -> std::io::Result<()> {
+    debug_assert_eq!(header.len(), positions.len());
+    out.write_all(header.join("\t").as_bytes())?;
     out.write_all(b"\n")?;
 
     let cols = rel.columns();
     let mut ids: Vec<u32> = (0..rel.len() as u32).collect();
     ids.sort_unstable_by(|&a, &b| {
-        cols.iter()
-            .map(|c| c.cells_cmp(a as usize, c, b as usize))
+        positions
+            .iter()
+            .map(|&p| cols[p].cells_cmp(a as usize, &cols[p], b as usize))
             .find(|o| *o != std::cmp::Ordering::Equal)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
@@ -265,11 +283,11 @@ pub fn relation_to_tsv_writer<W: std::io::Write>(
         .collect();
     let mut intbuf = String::new();
     for &i in &ids {
-        for (k, col) in cols.iter().enumerate() {
+        for (k, &p) in positions.iter().enumerate() {
             if k > 0 {
                 out.write_all(b"\t")?;
             }
-            match (col, &escaped[k]) {
+            match (&cols[p], &escaped[p]) {
                 (crate::column::Column::Int(v), _) => {
                     intbuf.clear();
                     use std::fmt::Write as _;
@@ -433,6 +451,26 @@ mod tests {
         relation_to_tsv_writer(&c, &rel, &mut sink).unwrap();
         assert_eq!(String::from_utf8(sink).unwrap(), expect);
         assert_eq!(relation_to_tsv(&c, &rel), expect);
+    }
+
+    /// Head-order rendering: positions pick (and may repeat) columns, rows
+    /// sort by the picked cells in that order, and cells are escaped.
+    #[test]
+    fn columns_writer_follows_positions() {
+        let mut c = Catalog::new();
+        let schema = Schema::from_chars(&mut c, "AB");
+        let rows = vec![
+            vec![Value::Int(2), Value::str("a\tb")].into(),
+            vec![Value::Int(1), Value::str("42")].into(),
+            vec![Value::Int(3), Value::str("42")].into(),
+        ];
+        let rel = Relation::from_rows(schema, rows).unwrap();
+        let mut sink: Vec<u8> = Vec::new();
+        columns_to_tsv_writer(&["b", "a", "b"], &rel, &[1, 0, 1], &mut sink).unwrap();
+        assert_eq!(
+            String::from_utf8(sink).unwrap(),
+            "b\ta\tb\n\\s42\t1\t\\s42\n\\s42\t3\t\\s42\na\\tb\t2\ta\\tb\n"
+        );
     }
 
     /// Network clients send CRLF line endings and files truncated before

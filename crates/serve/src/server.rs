@@ -15,8 +15,9 @@
 //! cannot multiply past it.
 //!
 //! Shutdown is cooperative: the `shutdown` command raises a flag, the
-//! accept loop stops, sessions finish their in-flight request (deadlines
-//! still apply), and the worker pool is parked before `run` returns.
+//! accept loop (blocked in `accept`, woken by one loopback connect) stops,
+//! sessions finish their in-flight request (deadlines still apply), and the
+//! worker pool is parked before `run` returns.
 
 use crate::json::Value as J;
 use crate::protocol::{err, err_with, ok, Request};
@@ -37,7 +38,7 @@ use mjoin_trace as trace;
 use mjoin_wcoj::{select, wcoj_join, ExecutorKind, Selection};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -48,9 +49,6 @@ use std::time::{Duration, Instant};
 /// discard a partial chunk if the tick landed mid multi-byte UTF-8
 /// character — so slow writers are safe even with non-ASCII payloads.
 const READ_TICK: Duration = Duration::from_millis(250);
-
-/// Accept-loop poll interval while no connection is pending.
-const ACCEPT_TICK: Duration = Duration::from_millis(20);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -239,6 +237,10 @@ struct Shared {
     /// `serve.*`) summed across every request the process has served.
     totals: Mutex<trace::Trace>,
     shutdown: AtomicBool,
+    /// Where the listener accepts (loopback when it listens on every
+    /// interface): `shutdown` connects here once to wake the blocking
+    /// accept.
+    wake_addr: SocketAddr,
     in_flight: AtomicU64,
     started: Instant,
 }
@@ -251,6 +253,15 @@ impl Shared {
         let mut totals = lock(&self.totals);
         totals.merge(drained);
         totals
+    }
+
+    /// Raise the shutdown flag and wake everything that waits on it: the
+    /// capacity gate's queue and the accept loop, which blocks in `accept`
+    /// until one loopback connection arrives.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Relaxed);
+        self.gate.cv.notify_all();
+        let _ = TcpStream::connect(self.wake_addr);
     }
 
     fn lock_cache(&self) -> MutexGuard<'_, IndexCache> {
@@ -279,7 +290,13 @@ impl Server {
     /// [`run`](Server::run).
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let shared = Arc::new(Shared {
             cache: IndexCache::shared(cfg.cache_budget_tuples, cfg.cache_budget_bytes),
             gate: Gate::new(cfg.max_cost, cfg.queue_depth),
@@ -287,6 +304,7 @@ impl Server {
             catalogs: Mutex::new(HashMap::new()),
             totals: Mutex::new(trace::Trace::default()),
             shutdown: AtomicBool::new(false),
+            wake_addr,
             in_flight: AtomicU64::new(0),
             started: Instant::now(),
         });
@@ -304,16 +322,15 @@ impl Server {
         trace::set_enabled(true);
         let mut sessions = Vec::new();
         while !self.shared.shutdown.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&self.shared);
-                    sessions.push(std::thread::spawn(move || session(&shared, stream)));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_TICK);
-                }
-                Err(e) => return Err(e),
+            // Blocking accept: a new connection is served at once, and
+            // `shutdown` wakes this call with a loopback connect that the
+            // flag check below turns away.
+            let (stream, _) = self.listener.accept()?;
+            if self.shared.shutdown.load(Ordering::Relaxed) {
+                break;
             }
+            let shared = Arc::clone(&self.shared);
+            sessions.push(std::thread::spawn(move || session(&shared, stream)));
             sessions.retain(|h| !h.is_finished());
         }
         // Drain: sessions observe the flag within one read tick once their
@@ -477,8 +494,7 @@ fn dispatch(shared: &Shared, request_line: &str, ledger: &mut SessionLedger) -> 
         },
         Request::Stats => handle_stats(shared, ledger),
         Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::Relaxed);
-            shared.gate.cv.notify_all();
+            shared.begin_shutdown();
             trace::add("serve.shutdown", 1);
             ok("shutdown").set(
                 "draining",
@@ -506,11 +522,12 @@ fn handle_load(shared: &Shared, catalog: &str, name: Option<String>, text: &str)
         Ok(r) => r,
         Err(e) => return err("data", format!("bad TSV: {e}")),
     };
-    // Pay the structural fingerprint once at load time (also outside the
-    // lock): clones handed to each run inherit the memoized value, so
+    // Pay the structural fingerprint and the column view once at load time
+    // (also outside the lock): clones handed to each run inherit both, so
     // cross-session index-cache peeks don't re-hash a large resident
-    // relation on every request.
+    // relation and per-request catalog snapshots share its columns.
     parsed.fingerprint();
+    parsed.columns();
     let mut catalogs = lock(&shared.catalogs);
     let entry = catalogs.entry(catalog.to_string()).or_default();
     // Fresh ids are assigned sequentially and schema attrs are sorted, so
@@ -530,6 +547,7 @@ fn handle_load(shared: &Shared, catalog: &str, name: Option<String>, text: &str)
         match tsv::relation_from_tsv_reader(&mut entry.catalog, text.as_bytes()) {
             Ok(r) => {
                 r.fingerprint();
+                r.columns();
                 r
             }
             Err(e) => return err("data", format!("bad TSV: {e}")),
@@ -1093,7 +1111,8 @@ fn handle_query(
 /// Snapshot a catalog entry's relations into a [`NamedDatabase`] for the
 /// conjunctive-query front end: each loaded relation becomes a predicate
 /// under its load name, columns bound positionally in the relation's
-/// canonical attribute order.
+/// canonical attribute order. No tuple is copied: the snapshot renames the
+/// loaded relations' shared columns.
 fn named_db_snapshot(shared: &Shared, catalog: &str) -> Result<NamedDatabase, J> {
     let (pairs, cat) = {
         let catalogs = lock(&shared.catalogs);
@@ -1109,8 +1128,7 @@ fn named_db_snapshot(shared: &Shared, catalog: &str) -> Result<NamedDatabase, J>
     let mut ndb = NamedDatabase::new();
     for (name, rel) in &pairs {
         let cols: Vec<&str> = rel.schema().attrs().iter().map(|&a| cat.name(a)).collect();
-        let rows: Vec<Vec<mjoin_relation::Value>> = rel.rows().iter().map(|r| r.to_vec()).collect();
-        if let Err(e) = ndb.add_relation_values(name, &cols, rows) {
+        if let Err(e) = ndb.add_relation_shared(name, &cols, rel) {
             return Err(err("data", format!("relation `{name}`: {e}")));
         }
     }
@@ -1239,15 +1257,14 @@ fn handle_cq_query(
         .set("rows", J::u64(res.len() as u64))
         .set("cost", J::u64(res.ledger.total()));
     if want_tsv {
-        let mut out = String::new();
-        out.push_str(&q.head_vars.join("\t"));
-        out.push('\n');
-        for row in res.rows_in_head_order() {
-            let cells: Vec<String> = row.iter().map(std::string::ToString::to_string).collect();
-            out.push_str(&cells.join("\t"));
-            out.push('\n');
+        let mut buf = Vec::new();
+        if let Err(e) = res.write_tsv(&mut buf) {
+            return err("data", format!("rendering result: {e}"));
         }
-        resp = resp.set("tsv", J::Str(out));
+        resp = resp.set(
+            "tsv",
+            J::Str(String::from_utf8(buf).expect("TSV output is UTF-8")),
+        );
     }
     resp
 }

@@ -116,3 +116,17 @@ fn shutdown_drains_and_stops_the_listener() {
     };
     assert!(refused, "server must stop accepting after shutdown");
 }
+
+/// The accept loop blocks in `accept`; `shutdown` wakes it with a loopback
+/// connect even when the listener is bound to every interface.
+#[test]
+fn shutdown_wakes_a_listener_bound_to_every_interface() {
+    let (addr, server_thread) = spawn(ServeConfig {
+        addr: "0.0.0.0:0".to_string(),
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(("127.0.0.1", addr.port())).unwrap();
+    let bye = c.cmd("shutdown", &[]).unwrap();
+    assert_eq!(bye.get("ok").and_then(Value::as_bool), Some(true));
+    server_thread.join().unwrap().unwrap();
+}

@@ -800,15 +800,9 @@ fn query(args: &Args) -> Result<Option<ExplainInfo>, String> {
     use std::io::Write as _;
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
-    let emit = |out: &mut std::io::BufWriter<std::io::StdoutLock>| -> std::io::Result<()> {
-        writeln!(out, "{}", q.head_vars.join("\t"))?;
-        for row in res.rows_in_head_order() {
-            let cells: Vec<String> = row.iter().map(std::string::ToString::to_string).collect();
-            writeln!(out, "{}", cells.join("\t"))?;
-        }
-        out.flush()
-    };
-    emit(&mut out).map_err(|e| format!("writing answers: {e}"))?;
+    res.write_tsv(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("writing answers: {e}"))?;
     Ok(None)
 }
 
