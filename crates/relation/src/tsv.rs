@@ -15,10 +15,12 @@
 //! error rather than silent corruption.
 
 use crate::attr::Catalog;
+use crate::column::Column;
 use crate::error::{Error, Result};
 use crate::relation::{Relation, Row};
 use crate::schema::Schema;
 use crate::value::Value;
+use std::borrow::Cow;
 
 /// Parse a relation from TSV text, interning attribute names into `catalog`.
 ///
@@ -176,8 +178,9 @@ fn cell_to_tsv(v: &Value) -> String {
 /// order, returning the bytes written. Counterpart of [`read_rows_tsv`];
 /// the Grace-hash spill path streams partition files through this pair, so
 /// it uses the same cell escaping as the relation writer and hostile
-/// strings round-trip bit-for-bit.
-pub(crate) fn write_row_tsv<W: std::io::Write>(out: &mut W, row: &Row) -> std::io::Result<usize> {
+/// strings round-trip bit-for-bit. Tuple dumps that are not relations
+/// (`mjoin_cli datalog`'s facts) render their rows through it too.
+pub fn write_row_tsv<W: std::io::Write>(out: &mut W, row: &[Value]) -> std::io::Result<usize> {
     let mut n = 0usize;
     for (i, v) in row.iter().enumerate() {
         if i > 0 {
@@ -243,10 +246,12 @@ pub fn relation_to_tsv_writer<W: std::io::Write>(
 /// conjunctive query's head `Q(x, x)` renders both cells from one column.
 ///
 /// The rows are emitted straight from the column vectors: the row order is a
-/// sorted *id permutation* (compared column-wise in `positions` order, same
-/// `Value` ordering as sorting the rendered tuples), and each dictionary
-/// entry is escaped exactly once — every later occurrence writes the cached
-/// cell bytes. No row view is materialized and no output `String`
+/// sorted *id permutation* over typed per-position keys ([`sort_keys`]; the
+/// same order as sorting the rendered tuples by `Value`), each dictionary
+/// entry is escaped exactly once — every later occurrence copies the cached
+/// cell bytes — and integers format through a digit-pair table. Rows are
+/// staged in a small reused chunk, so `out` sees a few large writes rather
+/// than one per cell. No row view is materialized and no output `String`
 /// proportional to the relation is built, so dumping a large result costs
 /// O(dict + ids) transient memory.
 pub fn columns_to_tsv_writer<W: std::io::Write>(
@@ -255,54 +260,158 @@ pub fn columns_to_tsv_writer<W: std::io::Write>(
     positions: &[usize],
     out: &mut W,
 ) -> std::io::Result<()> {
+    /// Bytes staged before one write to `out`.
+    const CHUNK: usize = 8 << 10;
     debug_assert_eq!(header.len(), positions.len());
-    out.write_all(header.join("\t").as_bytes())?;
-    out.write_all(b"\n")?;
+    let mut chunk: Vec<u8> = Vec::with_capacity(CHUNK + 256);
+    for (k, name) in header.iter().enumerate() {
+        if k > 0 {
+            chunk.push(b'\t');
+        }
+        chunk.extend_from_slice(name.as_bytes());
+    }
+    chunk.push(b'\n');
 
     let cols = rel.columns();
     let mut ids: Vec<u32> = (0..rel.len() as u32).collect();
-    ids.sort_unstable_by(|&a, &b| {
-        positions
+    {
+        // A repeated position adds nothing to the order: its cells tie
+        // whenever the first occurrence's do.
+        let mut seen = Vec::with_capacity(positions.len());
+        let keys: Vec<Cow<'_, [i64]>> = positions
             .iter()
-            .map(|&p| cols[p].cells_cmp(a as usize, &cols[p], b as usize))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+            .filter(|&&p| {
+                let first = !seen.contains(&p);
+                seen.push(p);
+                first
+            })
+            .map(|&p| sort_keys(&cols[p]))
+            .collect();
+        ids.sort_unstable_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            for k in &keys {
+                match k[a].cmp(&k[b]) {
+                    std::cmp::Ordering::Equal => {}
+                    o => return o,
+                }
+            }
+            std::cmp::Ordering::Equal
+        });
+    }
 
-    // Escape each dictionary entry once, up front; integer cells format
-    // into a reused buffer.
+    // Escape each dictionary entry once, up front.
     let escaped: Vec<Option<Vec<String>>> = cols
         .iter()
-        .map(|c| {
-            c.dict().map(|d| {
-                (0..d.len() as u32)
-                    .map(|i| cell_to_tsv(d.value(i)))
-                    .collect()
-            })
+        .enumerate()
+        .map(|(p, c)| match c {
+            Column::Dict { dict, .. } if positions.contains(&p) => Some(
+                (0..dict.len() as u32)
+                    .map(|i| cell_to_tsv(dict.value(i)))
+                    .collect(),
+            ),
+            _ => None,
         })
         .collect();
-    let mut intbuf = String::new();
+    let cells: Vec<Cells<'_>> = positions
+        .iter()
+        .map(|&p| match (&cols[p], &escaped[p]) {
+            (Column::Int(v), _) => Cells::Int(v),
+            (Column::Dict { codes, .. }, Some(cache)) => Cells::Dict(codes, cache),
+            (Column::Dict { .. }, None) => unreachable!("dict column cached"),
+        })
+        .collect();
+    let mut digits = [0u8; 20];
     for &i in &ids {
-        for (k, &p) in positions.iter().enumerate() {
+        let i = i as usize;
+        for (k, c) in cells.iter().enumerate() {
             if k > 0 {
-                out.write_all(b"\t")?;
+                chunk.push(b'\t');
             }
-            match (&cols[p], &escaped[p]) {
-                (crate::column::Column::Int(v), _) => {
-                    intbuf.clear();
-                    use std::fmt::Write as _;
-                    let _ = write!(intbuf, "{}", v[i as usize]);
-                    out.write_all(intbuf.as_bytes())?;
+            match c {
+                Cells::Int(v) => chunk.extend_from_slice(format_i64(v[i], &mut digits)),
+                Cells::Dict(codes, cache) => {
+                    chunk.extend_from_slice(cache[codes[i] as usize].as_bytes());
                 }
-                (crate::column::Column::Dict { codes, .. }, Some(cache)) => {
-                    out.write_all(cache[codes[i as usize] as usize].as_bytes())?;
-                }
-                (crate::column::Column::Dict { .. }, None) => unreachable!("dict column cached"),
             }
         }
-        out.write_all(b"\n")?;
+        chunk.push(b'\n');
+        if chunk.len() >= CHUNK {
+            out.write_all(&chunk)?;
+            chunk.clear();
+        }
     }
-    Ok(())
+    out.write_all(&chunk)
+}
+
+/// Where one output position's cells come from: an integer column's values,
+/// or a dictionary column's codes into its pre-escaped entries.
+enum Cells<'a> {
+    Int(&'a [i64]),
+    Dict(&'a [u32], &'a [String]),
+}
+
+/// The sort key of every row of `col`: an integer column's own values, or,
+/// for a dictionary column, the dense rank of each row's value among the
+/// dictionary's entries under `Value::cmp` (one sort of the dictionary,
+/// not of the rows). Equal values get equal ranks, so comparing keys
+/// orders rows exactly as comparing their `Value`s does — for mixed
+/// integer/string dictionaries too.
+fn sort_keys(col: &Column) -> Cow<'_, [i64]> {
+    match col {
+        Column::Int(v) => Cow::Borrowed(v),
+        Column::Dict { codes, dict } => {
+            let mut order: Vec<u32> = (0..dict.len() as u32).collect();
+            order.sort_unstable_by(|&a, &b| dict.value(a).cmp(dict.value(b)));
+            let mut rank = vec![0i64; dict.len()];
+            let mut r = 0i64;
+            for (n, &code) in order.iter().enumerate() {
+                if n > 0 && dict.value(order[n - 1]) != dict.value(code) {
+                    r += 1;
+                }
+                rank[code as usize] = r;
+            }
+            codes.iter().map(|&c| rank[c as usize]).collect()
+        }
+    }
+}
+
+/// `"00" "01" … "99"`: two decimal digits per table entry.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Format `v` in decimal into the tail of `buf` (20 bytes hold `i64::MIN`)
+/// and return the digits — the bytes `v.to_string()` would produce, two
+/// digits per division.
+fn format_i64(v: i64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut n = v.unsigned_abs();
+    let mut at = buf.len();
+    while n >= 100 {
+        let d = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    }
+    if n >= 10 {
+        let d = n as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    &buf[at..]
 }
 
 /// Render a relation as TSV (canonical column order, sorted rows). Thin
@@ -512,6 +621,30 @@ mod tests {
         assert_eq!(rel.len(), 1);
     }
 
+    /// The digit-pair formatter is `i64::to_string`, extremes included.
+    #[test]
+    fn integer_formatting_matches_display() {
+        let mut buf = [0u8; 20];
+        for v in [
+            0,
+            1,
+            -1,
+            9,
+            10,
+            -10,
+            99,
+            100,
+            -101,
+            123_456_789,
+            -999_999_999,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+        ] {
+            assert_eq!(format_i64(v, &mut buf), v.to_string().as_bytes(), "{v}");
+        }
+    }
+
     #[test]
     fn plain_cells_keep_trim_and_int_sniffing() {
         let mut c = Catalog::new();
@@ -526,5 +659,126 @@ mod tests {
         assert!(err.to_string().contains("unknown TSV escape"), "{err}");
         // A trailing lone backslash is rejected too.
         assert!(relation_from_tsv(&mut c, "A\nfoo\\\n").is_err());
+    }
+}
+
+/// Oracle for the columnar writer: the bytes it streams equal a reference
+/// renderer that sorts the row view (`sorted_rows`), projects each row onto
+/// the positions, and joins `cell_to_tsv` cells with tabs.
+#[cfg(test)]
+mod writer_oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn reference(header: &[&str], rel: &Relation, positions: &[usize]) -> String {
+        let mut rows: Vec<Vec<Value>> = rel
+            .sorted_rows()
+            .iter()
+            .map(|r| positions.iter().map(|&p| r[p].clone()).collect())
+            .collect();
+        rows.sort();
+        let mut out = header.join("\t");
+        out.push('\n');
+        for row in rows {
+            let cells: Vec<String> = row.iter().map(cell_to_tsv).collect();
+            out.push_str(&cells.join("\t"));
+            out.push('\n');
+        }
+        out
+    }
+
+    fn written(header: &[&str], rel: &Relation, positions: &[usize]) -> String {
+        let mut sink: Vec<u8> = Vec::new();
+        columns_to_tsv_writer(header, rel, positions, &mut sink).unwrap();
+        String::from_utf8(sink).unwrap()
+    }
+
+    /// Integers around the edges of `i64` and of the digit-pair table.
+    const INTS: [i64; 12] = [
+        0,
+        -1,
+        7,
+        -42,
+        99,
+        100,
+        123_456_789,
+        -987_654_321,
+        i64::MAX,
+        i64::MIN,
+        i64::MAX - 1,
+        i64::MIN + 1,
+    ];
+    /// Strings that sort around each other and need every escape.
+    const STRS: [&str; 9] = ["a", "b", "a\tb", "42", "", " lead", "x\\y", "π", "-0"];
+
+    /// Column kinds: 0 = integers only, 1 = strings only, 2 = mixed.
+    fn cell(kind: u8, pick: usize) -> Value {
+        match (kind, pick % 2) {
+            (0, _) | (2, 0) => Value::Int(INTS[pick % INTS.len()]),
+            _ => Value::str(STRS[pick % STRS.len()]),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn columns_writer_matches_sorted_row_reference(
+            kinds in prop::collection::vec(0u8..3, 0..4),
+            picks in prop::collection::vec(prop::collection::vec(0usize..40, 4), 0..30),
+            positions in prop::collection::vec(0usize..4, 0..5),
+            filter in 0u8..3,
+        ) {
+            let mut c = Catalog::new();
+            let arity = kinds.len();
+            let schema = Schema::from_chars(&mut c, &"ABCD"[..arity]);
+            let tuples: Vec<Vec<Value>> = picks
+                .iter()
+                .map(|p| (0..arity).map(|i| cell(kinds[i], p[i])).collect())
+                .collect();
+            let mut rel = if arity == 0 && !tuples.is_empty() {
+                Relation::nullary_unit()
+            } else {
+                Relation::from_tuples(schema, tuples).unwrap()
+            };
+            // A column-born selection keeps the source's dictionaries, so
+            // pools hold entries no row references.
+            if filter == 1 && arity > 0 {
+                rel = crate::ops::select_where(&rel, |r| r[0] != Value::Int(0));
+            }
+            // Positions index this relation's columns, and may repeat.
+            let positions: Vec<usize> = if arity == 0 {
+                Vec::new()
+            } else {
+                positions.iter().map(|&p| p % arity).collect()
+            };
+            let names: Vec<String> = positions.iter().map(|p| format!("h{p}")).collect();
+            let header: Vec<&str> = names.iter().map(String::as_str).collect();
+            prop_assert_eq!(
+                written(&header, &rel, &positions),
+                reference(&header, &rel, &positions)
+            );
+            // Every column once, in canonical order: the relation writer.
+            let all: Vec<usize> = (0..arity).collect();
+            let canon: Vec<&str> = rel.schema().attrs().iter().map(|&a| c.name(a)).collect();
+            prop_assert_eq!(relation_to_tsv(&c, &rel), reference(&canon, &rel, &all));
+        }
+    }
+
+    /// `Q(x, x)` over extreme integers, and the two nullary relations.
+    #[test]
+    fn repeated_positions_and_nullary_relations() {
+        let mut c = Catalog::new();
+        let schema = Schema::from_chars(&mut c, "A");
+        let rel =
+            Relation::from_tuples(schema, INTS.iter().map(|&v| vec![Value::Int(v)]).collect())
+                .unwrap();
+        let text = written(&["x", "x"], &rel, &[0, 0]);
+        assert_eq!(text, reference(&["x", "x"], &rel, &[0, 0]));
+        assert!(text.starts_with("x\tx\n-9223372036854775808\t-9223372036854775808\n"));
+        assert!(text.ends_with("9223372036854775807\t9223372036854775807\n"));
+        assert_eq!(written(&[], &Relation::nullary_unit(), &[]), "\n\n");
+        let empty = Relation::empty(Schema::new(Vec::new()));
+        assert_eq!(written(&[], &empty, &[]), "\n");
     }
 }

@@ -7,7 +7,8 @@
 //! every quantity in the protocol is a count, and refusing floats keeps
 //! responses byte-deterministic.
 
-use std::fmt::Write as _;
+use mjoin_relation::json::EscapingWriter;
+use std::io::Write as _;
 
 /// A JSON value. Objects keep insertion order (responses render in a
 /// stable field order, which the differential tests rely on).
@@ -25,12 +26,34 @@ pub enum Value {
     Arr(Vec<Value>),
     /// An object: insertion-ordered key/value pairs.
     Obj(Vec<(String, Value)>),
+    /// A string literal rendered ahead of time ([`Value::str_streamed`]);
+    /// rendering copies it verbatim. Never produced by [`Value::parse`].
+    Rendered(Rendered),
 }
+
+/// A pre-rendered JSON string literal, quotes included. Only
+/// [`Value::str_streamed`] builds one, so it is always a well-formed
+/// literal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rendered(Vec<u8>);
 
 impl Value {
     /// A string value.
     pub fn str(s: impl Into<String>) -> Value {
         Value::Str(s.into())
+    }
+
+    /// A string whose text `write` streams through the JSON escaper, kept
+    /// as a pre-rendered literal: a large payload (a TSV answer) is escaped
+    /// once, straight from its writer, with no intermediate copy. `write`
+    /// must emit UTF-8, as every `str`-backed writer does.
+    pub fn str_streamed(
+        write: impl FnOnce(&mut EscapingWriter<'_>) -> std::io::Result<()>,
+    ) -> std::io::Result<Value> {
+        let mut lit = vec![b'"'];
+        write(&mut EscapingWriter::new(&mut lit))?;
+        lit.push(b'"');
+        Ok(Value::Rendered(Rendered(lit)))
     }
 
     /// An unsigned counter as an integer value.
@@ -96,40 +119,43 @@ impl Value {
 
     /// Render as compact JSON (no whitespace), suitable for one wire line.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.render_into(&mut out);
-        out
+        String::from_utf8(out).expect("rendered JSON is UTF-8")
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Append the compact rendering to `out` — the server renders each
+    /// reply into one reused buffer and sends it with a single write.
+    pub fn render_into(&self, out: &mut Vec<u8>) {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Null => out.extend_from_slice(b"null"),
+            Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
             Value::Int(n) => {
                 let _ = write!(out, "{n}");
             }
             Value::Str(s) => escape_into(s, out),
+            Value::Rendered(Rendered(lit)) => out.extend_from_slice(lit),
             Value::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     v.render_into(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Value::Obj(pairs) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     escape_into(k, out);
-                    out.push(':');
+                    out.push(b':');
                     v.render_into(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
@@ -153,8 +179,10 @@ impl Value {
 
 /// Render a JSON string literal via the workspace-shared escaper (also used
 /// by the analyzer's diagnostic reports, so escaping rules cannot drift).
-fn escape_into(s: &str, out: &mut String) {
-    mjoin_relation::json::string_into(s, out);
+fn escape_into(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
+    mjoin_relation::json::escape_bytes_into(s.as_bytes(), out);
+    out.push(b'"');
 }
 
 /// Nesting depth cap: a hostile client cannot overflow the parser stack.

@@ -50,6 +50,10 @@ use std::time::{Duration, Instant};
 /// character — so slow writers are safe even with non-ASCII payloads.
 const READ_TICK: Duration = Duration::from_millis(250);
 
+/// Capacity a session's reply buffer keeps between requests: one large
+/// answer does not pin its size for the rest of the session.
+const REPLY_BUF_KEEP: usize = 1 << 20;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -233,8 +237,10 @@ struct Shared {
     catalogs: Mutex<HashMap<String, CatalogEntry>>,
     cache: SharedIndexCache,
     gate: Gate,
-    /// Cumulative drained trace: operator counters (`index_cache.*`,
-    /// `serve.*`) summed across every request the process has served.
+    /// Cumulative drained counters (`index_cache.*`, `serve.*`) summed
+    /// across every request the process has served. Span events are
+    /// dropped at the drain — nothing here reads them — so the totals stay
+    /// the same size however long the server runs.
     totals: Mutex<trace::Trace>,
     shutdown: AtomicBool,
     /// Where the listener accepts (loopback when it listens on every
@@ -246,12 +252,15 @@ struct Shared {
 }
 
 impl Shared {
-    /// Drain the process trace sink into the cumulative totals and return
-    /// the current value of `name`.
+    /// Drain the process trace sink, fold its counters into the cumulative
+    /// totals and drop its span events; returns the locked totals.
     fn fold_trace(&self) -> MutexGuard<'_, trace::Trace> {
         let drained = trace::take();
         let mut totals = lock(&self.totals);
-        totals.merge(drained);
+        totals.merge(trace::Trace {
+            events: Vec::new(),
+            counters: drained.counters,
+        });
         totals
     }
 
@@ -356,6 +365,7 @@ fn session(shared: &Shared, stream: TcpStream) {
     let mut writer = stream;
     let mut ledger = SessionLedger::default();
     let mut line: Vec<u8> = Vec::new();
+    let mut reply: Vec<u8> = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             break;
@@ -372,11 +382,7 @@ fn session(shared: &Shared, stream: TcpStream) {
                         line.clear();
                         trace::add("serve.protocol_error", 1);
                         let resp = err("protocol", "request line is not valid UTF-8");
-                        if writeln!(writer, "{}", resp.render())
-                            .and_then(|()| writer.flush())
-                            .is_err()
-                            || !complete
-                        {
+                        if send(&mut writer, &mut reply, &resp).is_err() || !complete {
                             break;
                         }
                         continue;
@@ -385,10 +391,7 @@ fn session(shared: &Shared, stream: TcpStream) {
                 line.clear();
                 if !request.is_empty() {
                     let resp = dispatch(shared, &request, &mut ledger);
-                    if writeln!(writer, "{}", resp.render())
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
+                    if send(&mut writer, &mut reply, &resp).is_err() {
                         break;
                     }
                 }
@@ -405,6 +408,18 @@ fn session(shared: &Shared, stream: TcpStream) {
         }
     }
     trace::add("serve.session_close", 1);
+}
+
+/// Send one reply line: render `resp` into the session's reused `buf`
+/// (empty between calls) and hand the socket the whole line in a single
+/// write.
+fn send(writer: &mut impl Write, buf: &mut Vec<u8>, resp: &J) -> std::io::Result<()> {
+    resp.render_into(buf);
+    buf.push(b'\n');
+    let sent = writer.write_all(buf);
+    buf.clear();
+    buf.shrink_to(REPLY_BUF_KEEP);
+    sent
 }
 
 /// Parse and route one request line.
@@ -503,6 +518,9 @@ fn dispatch(shared: &Shared, request_line: &str, ledger: &mut SessionLedger) -> 
         }
     };
     shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+    // Drain the trace sink after every request, not only when a reply
+    // reports counters: `cq`-only traffic would otherwise grow it forever.
+    drop(shared.fold_trace());
     resp
 }
 
@@ -910,14 +928,8 @@ fn render_outcome(
         )
         .set("cache", cache_stats(shared));
     if want_tsv {
-        let mut buf = Vec::new();
-        match tsv::relation_to_tsv_writer(&r.catalog, result, &mut buf) {
-            Ok(()) => {
-                resp = resp.set(
-                    "tsv",
-                    J::Str(String::from_utf8(buf).expect("TSV output is UTF-8")),
-                );
-            }
+        match J::str_streamed(|w| tsv::relation_to_tsv_writer(&r.catalog, result, w)) {
+            Ok(text) => resp = resp.set("tsv", text),
             Err(e) => return err("data", format!("rendering result: {e}")),
         }
     }
@@ -1257,14 +1269,10 @@ fn handle_cq_query(
         .set("rows", J::u64(res.len() as u64))
         .set("cost", J::u64(res.ledger.total()));
     if want_tsv {
-        let mut buf = Vec::new();
-        if let Err(e) = res.write_tsv(&mut buf) {
-            return err("data", format!("rendering result: {e}"));
+        match J::str_streamed(|w| res.write_tsv(w)) {
+            Ok(text) => resp = resp.set("tsv", text),
+            Err(e) => return err("data", format!("rendering result: {e}")),
         }
-        resp = resp.set(
-            "tsv",
-            J::Str(String::from_utf8(buf).expect("TSV output is UTF-8")),
-        );
     }
     resp
 }
@@ -1468,4 +1476,79 @@ fn handle_stats(shared: &Shared, ledger: &SessionLedger) -> J {
                 .set("inputs", J::u64(ledger.inputs))
                 .set("generated", J::u64(ledger.generated)),
         )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn line(fields: &[(&str, &str)]) -> String {
+        fields
+            .iter()
+            .fold(J::obj(), |o, (k, v)| o.set(k, J::str(*v)))
+            .render()
+    }
+
+    /// Regression: the process trace sink grew with every request — the
+    /// totals appended every drained span event, and `cq` requests never
+    /// drained at all. After 2,000 in-process `run` and `cq` requests the
+    /// totals hold no events, the sink is empty, and the counters `stats`
+    /// reports are the ones the events-keeping fold reported.
+    #[test]
+    fn requests_leave_no_trace_events_and_keep_counters() {
+        trace::set_enabled(true);
+        trace::clear();
+        let server = Server::bind(ServeConfig::default()).unwrap();
+        let shared = &server.shared;
+        let mut ledger = SessionLedger::default();
+        let mut send = |fields: &[(&str, &str)]| {
+            let resp = dispatch(shared, &line(fields), &mut ledger);
+            assert_eq!(resp.get("ok"), Some(&J::Bool(true)), "{}", resp.render());
+            resp
+        };
+        send(&[
+            ("cmd", "load"),
+            ("catalog", "c"),
+            ("name", "ab"),
+            ("tsv", "A\tB\n0\t1\n1\t2\n2\t3\n"),
+        ]);
+        send(&[
+            ("cmd", "load"),
+            ("catalog", "c"),
+            ("name", "bc"),
+            ("tsv", "B\tC\n1\t2\n2\t3\n3\t4\n"),
+        ]);
+        send(&[
+            ("cmd", "compile"),
+            ("catalog", "c"),
+            ("name", "p"),
+            ("scheme", "AB,BC"),
+            ("program", "R(V) := R(AB) ⋉ R(BC)\nR(V) := R(V) ⋈ R(BC)"),
+        ]);
+        for _ in 0..1_000 {
+            send(&[("cmd", "run"), ("catalog", "c"), ("name", "p")]);
+            send(&[
+                ("cmd", "query"),
+                ("catalog", "c"),
+                ("cq", "Q(a, c) :- ab(a, b), bc(b, c)"),
+            ]);
+            assert!(trace::take().events.is_empty(), "sink drained per request");
+        }
+        assert!(lock(&shared.totals).events.is_empty());
+        let stats = send(&[("cmd", "stats")]);
+        let counters = stats.get("counters").unwrap();
+        let count = |name: &str| counters.get(name).and_then(J::as_u64);
+        assert_eq!(count("serve.request"), Some(2_004));
+        assert_eq!(count("serve.load"), Some(2));
+        assert_eq!(count("serve.compile"), Some(1));
+        assert_eq!(count("serve.run"), Some(1_000));
+        assert_eq!(count("serve.cq_query"), Some(1_000));
+        // The index-cache counters, as the events-keeping fold counted them
+        // over this same request sequence.
+        assert_eq!(count("index_cache.hit"), Some(2_999));
+        assert_eq!(count("index_cache.miss"), Some(1_001));
+        assert_eq!(count("index_cache.insert"), Some(1_001));
+        assert_eq!(count("index_cache.fingerprint_hit"), Some(1_998));
+        trace::set_enabled(false);
+    }
 }

@@ -823,17 +823,29 @@ fn datalog(args: &Args) -> Result<Option<ExplainInfo>, String> {
         res.iterations,
         res.total_cost
     );
+    let stdout = std::io::stdout();
+    write_facts(&mut std::io::BufWriter::new(stdout.lock()), &res)
+        .map_err(|e| format!("writing facts: {e}"))?;
+    Ok(None)
+}
+
+/// Dump each derived predicate's facts under a `# name (N facts)` line.
+/// Rows render through the TSV cell escaper, so a string fact with a tab or
+/// newline keeps its row intact and reads back as the same value.
+fn write_facts(
+    out: &mut impl std::io::Write,
+    res: &mjoin::cq::DatalogResult,
+) -> std::io::Result<()> {
     let mut preds: Vec<&String> = res.facts.keys().collect();
     preds.sort();
     for p in preds {
         let facts = res.facts_of(p);
-        println!("# {p} ({} facts)", facts.len());
+        writeln!(out, "# {p} ({} facts)", facts.len())?;
         for row in facts {
-            let cells: Vec<String> = row.iter().map(std::string::ToString::to_string).collect();
-            println!("{}", cells.join("\t"));
+            tsv::write_row_tsv(out, row)?;
         }
     }
-    Ok(None)
+    out.flush()
 }
 
 /// Run the resident query server until a client sends `shutdown`. The

@@ -349,6 +349,40 @@ fn datalog_command_computes_fixpoint_and_traces_iterations() {
     assert!(stderr.contains("datalog/fixpoint"), "stderr:\n{stderr}");
 }
 
+/// `datalog` renders facts through the TSV cell escaper: a string fact with
+/// a tab keeps its row, and every derived fact reads back through the TSV
+/// reader as the value that was derived (it used to be printed with
+/// `Display`, so the tab split the row and `"42"` read back as an integer).
+#[test]
+fn datalog_facts_are_escaped_tsv() {
+    use mjoin::relation::{tsv, Catalog, Relation, Schema, Value};
+    let dir = tempdir::TempDir::new("datalog-escape");
+    let edges = write_tsv(dir.path(), "e.tsv", "s\td\n-1\ta\\tb\n2\t\\s42\n3\tplain\n");
+    let out = cli(&["datalog", "t(x, y) :- e(x, y).", edges.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let body = stdout
+        .strip_prefix("# t (3 facts)\n")
+        .unwrap_or_else(|| panic!("stdout:\n{stdout}"));
+    assert!(body.contains("-1\ta\\tb\n"), "stdout:\n{stdout}");
+    let mut c = Catalog::new();
+    let back = tsv::relation_from_tsv(&mut c, &format!("c0\tc1\n{body}")).unwrap();
+    let expect = Relation::from_tuples(
+        Schema::new(vec![c.intern("c0"), c.intern("c1")]),
+        vec![
+            vec![Value::Int(-1), Value::str("a\tb")],
+            vec![Value::Int(2), Value::str("42")],
+            vec![Value::Int(3), Value::str("plain")],
+        ],
+    )
+    .unwrap();
+    assert_eq!(back, expect);
+}
+
 fn query_fixture(name: &str) -> String {
     format!("{}/examples/queries/{name}", env!("CARGO_MANIFEST_DIR"))
 }
