@@ -1,6 +1,6 @@
 //! `exp_layout` — storage-layout micro-benchmark: the two primitives the
-//! columnar engine rebuilt, measured in isolation, row engine vs column
-//! engine.
+//! columnar engine rebuilt, measured in isolation, a tuple-at-a-time loop
+//! over the row view vs the column kernels.
 //!
 //! * **hash**: key-hashing throughput. The row path folds
 //!   [`Value::stable_hash`] through [`mjoin_relation::fxhash::mix`] one
@@ -16,7 +16,8 @@
 //!
 //! Numbers go to stdout as a table and to `BENCH_layout_micro.json` (or the
 //! path given as the first CLI argument). This is the microscopic view of
-//! the `layout_speedup` column `exp_par` measures end-to-end.
+//! the `layout_speedup` column that `exp_par` measured end-to-end while the
+//! operators still had a row engine (EXPERIMENTS.md §L).
 
 use mjoin_bench::print_table;
 use mjoin_relation::fxhash::mix;
@@ -86,8 +87,8 @@ fn best_ms<F: FnMut()>(mut f: F) -> f64 {
     best
 }
 
-/// The row engine's key hash: the `mix`-fold of per-cell stable hashes, as
-/// in `ops::hash_at`.
+/// The per-row key hash: the `mix`-fold of per-cell stable hashes, which
+/// `ops::key_hashes` computes batch-wise over column slices.
 fn row_hash(row: &Row, positions: &[usize]) -> u64 {
     positions
         .iter()

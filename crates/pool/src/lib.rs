@@ -8,7 +8,7 @@
 //! Like the in-tree `fxhash`, this is implemented on `std` alone to stay
 //! within the sanctioned dependency set (the container image has no cargo
 //! registry access); the API is a deliberately small rayon-style surface:
-//! [`scope`], [`par_map`], and [`par_map_slices`].
+//! [`scope`] and [`par_map`].
 //!
 //! Deadlock freedom: a thread that waits for a scope to finish *helps* — it
 //! pops and runs queued tasks while it waits — so nested parallelism (a
@@ -437,50 +437,6 @@ where
         .collect()
 }
 
-/// Split `items` into at most `pieces` contiguous slices and apply `f` to
-/// each in parallel. `f` receives the piece index and the slice; results
-/// come back in slice order. With `pieces <= 1` (or a single-item input)
-/// everything runs inline on the caller.
-pub fn par_map_slices<T, R, F>(items: &[T], pieces: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    let pieces = pieces.clamp(1, items.len().max(1));
-    let chunk = items.len().div_ceil(pieces).max(1);
-    if pieces <= 1 {
-        return items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(i, c)| f(i, c))
-            .collect();
-    }
-    let n_chunks = items.len().div_ceil(chunk);
-    let mut slots: Vec<Mutex<Option<R>>> = Vec::with_capacity(n_chunks);
-    slots.resize_with(n_chunks, || Mutex::new(None));
-    {
-        let slots = &slots;
-        let f = &f;
-        scope(|s| {
-            for (i, piece) in items.chunks(chunk).enumerate() {
-                s.spawn(move || {
-                    let r = f(i, piece);
-                    *slots[i].lock().expect("slot poisoned") = Some(r);
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("task completed")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,17 +446,6 @@ mod tests {
     fn par_map_preserves_order() {
         let out = par_map((0..100).collect::<Vec<_>>(), |x| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_slices_covers_everything_in_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        for pieces in [1, 2, 3, 7, 16, 1000, 5000] {
-            let sums = par_map_slices(&items, pieces, |_, s| s.iter().sum::<u64>());
-            assert_eq!(sums.iter().sum::<u64>(), items.iter().sum::<u64>());
-        }
-        let idx = par_map_slices(&items, 4, |i, _| i);
-        assert_eq!(idx, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -650,10 +595,5 @@ mod tests {
     fn empty_and_singleton_inputs() {
         assert_eq!(par_map(Vec::<u32>::new(), |x| x), Vec::<u32>::new());
         assert_eq!(par_map(vec![7], |x| x * 3), vec![21]);
-        let empty: Vec<u32> = vec![];
-        assert_eq!(
-            par_map_slices(&empty, 4, |_, s| s.len()),
-            Vec::<usize>::new()
-        );
     }
 }

@@ -47,8 +47,7 @@ pub struct ExecConfig {
     pub cache_budget_tuples: u64,
     /// Cache budget in resident *bytes* — table heap plus the pinned
     /// relation's payload ([`JoinIndex::resident_bytes`]: packed columns
-    /// with each dictionary pool counted once under the columnar layout, a
-    /// flat per-cell estimate under the row layout). Eviction runs while
+    /// with each dictionary pool counted once). Eviction runs while
     /// *either* budget is exceeded, so tuple-cheap but byte-heavy string
     /// relations cannot pin unbounded memory.
     pub cache_budget_bytes: u64,

@@ -1,6 +1,5 @@
-//! The batch-at-a-time columnar kernels.
-//!
-//! Each hot operator has a columnar twin here that works in three phases:
+//! The batch-at-a-time primitives every operator is built from. Each
+//! operator works in three phases:
 //!
 //! 1. **Batch key hashing** ([`key_hashes`]): key hashes for *all* rows are
 //!    computed by zipping column slices — a tight loop over one `i64`/`u32`
@@ -15,10 +14,9 @@
 //!    [`Column::concat_gathered`]); dictionary columns copy codes and share
 //!    their pool with the input.
 //!
-//! The hashes here agree bit-for-bit with the row engine's
-//! [`super::hash_at`] (both fold [`crate::Value::stable_hash`] through
-//! [`mix`]), so tables and [`super::JoinIndex`]es built by either engine can
-//! be probed by the other.
+//! A key hash is the [`mix`]-fold of the key cells'
+//! [`crate::Value::stable_hash`]es, so it depends only on the cell values,
+//! never on how a column happens to be encoded.
 
 use super::hashtable::RawTable;
 use crate::column::Column;
@@ -26,22 +24,8 @@ use crate::fxhash::mix;
 use crate::relation::Relation;
 use crate::schema::Schema;
 
-/// Count one columnar batch-kernel invocation (the `--check-strategies`
-/// layout gate watches this counter).
-#[inline]
-pub(crate) fn count_batch() {
-    mjoin_trace::add("layout.columnar_batch", 1);
-}
-
-/// Count one row-engine kernel invocation.
-#[inline]
-pub(crate) fn count_row_path() {
-    mjoin_trace::add("layout.row_path", 1);
-}
-
 /// The key hash of every row of `rel` at `positions`, batch-wise: one
-/// mix-fold pass per key column over its packed payload slice. Agrees
-/// bit-for-bit with the row engine's per-row [`super::hash_at`].
+/// mix-fold pass per key column over its packed payload slice.
 pub fn key_hashes(rel: &Relation, positions: &[usize]) -> Vec<u64> {
     let cols = rel.columns();
     let mut acc = vec![0u64; rel.len()];
@@ -52,7 +36,8 @@ pub fn key_hashes(rel: &Relation, positions: &[usize]) -> Vec<u64> {
 }
 
 /// Whether row `i` of `acols` (at `apos`) and row `j` of `bcols` (at `bpos`)
-/// agree on their key — the columnar twin of [`super::keys_eq`].
+/// agree on their key (the collision check behind every [`RawTable`]
+/// candidate).
 #[inline]
 pub(crate) fn ids_eq(
     acols: &[Column],
@@ -74,9 +59,6 @@ pub(crate) fn gather_relation(rel: &Relation, ids: &[u32]) -> Relation {
     let cols: Vec<Column> = rel.columns().iter().map(|c| c.gather(ids)).collect();
     Relation::from_distinct_columns(rel.schema().clone(), ids.len(), cols)
 }
-
-// ---------------------------------------------------------------------------
-// Join.
 
 /// A columnar hash-join, built once and probed in id batches: the build
 /// side's [`RawTable`] over precomputed key hashes, plus the borrowed column
@@ -213,57 +195,61 @@ pub(crate) fn materialize_join(
     Relation::from_distinct_columns(out_schema.clone(), nrows, cols)
 }
 
-/// Sequential columnar natural join, building on the smaller side.
-pub(crate) fn col_join(left: &Relation, right: &Relation) -> Relation {
-    count_batch();
-    let out_schema = left.schema().union(right.schema());
-    let (build, probe) = if left.len() <= right.len() {
-        (left, right)
-    } else {
-        (right, left)
-    };
-    let (bpos, ppos) = super::join::join_key_positions(build.schema(), probe.schema());
-    let kernel = ColJoin::new(build, probe, &bpos, &ppos);
-    let ph = key_hashes(probe, &ppos);
-    let pair = kernel.probe_range(&ph, 0, probe.len());
-    materialize_join(build, probe, &out_schema, std::slice::from_ref(&pair))
+/// A membership filter: a key-deduplicated [`RawTable`] over one side's key
+/// hashes, one entry per distinct key, so a probe needs only "is there any
+/// hash-and-key match", never a chain walk over duplicates. Backs the
+/// semijoin and the set operations.
+pub(crate) struct KeyFilter<'a> {
+    cols: &'a [Column],
+    pos: &'a [usize],
+    table: RawTable,
 }
 
-/// Columnar shared-build chunked-probe join: build once, probe contiguous
-/// id ranges concurrently, gather all parts' selection vectors once.
-pub(crate) fn col_join_chunked(build: &Relation, probe: &Relation, threads: usize) -> Relation {
-    count_batch();
-    let out_schema = build.schema().union(probe.schema());
-    let (bpos, ppos) = super::join::join_key_positions(build.schema(), probe.schema());
-    let kernel = ColJoin::new(build, probe, &bpos, &ppos);
-    let ph = key_hashes(probe, &ppos);
-    let ranges = split_ranges(probe.len(), threads);
-    let parts = mjoin_pool::par_map(ranges, |(s, e)| kernel.probe_range(&ph, s, e));
-    materialize_join(build, probe, &out_schema, &parts)
-}
+impl<'a> KeyFilter<'a> {
+    pub(crate) fn new(rel: &'a Relation, pos: &'a [usize]) -> Self {
+        let cols = rel.columns();
+        let hashes = key_hashes(rel, pos);
+        let mut table = RawTable::with_capacity(hashes.len());
+        for (i, &h) in hashes.iter().enumerate() {
+            if !table
+                .candidates(h)
+                .any(|j| ids_eq(cols, pos, j, cols, pos, i))
+            {
+                table.insert(h, i as u32);
+            }
+        }
+        KeyFilter { cols, pos, table }
+    }
 
-/// Columnar radix co-partition join: both sides' row ids are partitioned by
-/// key hash, partition pairs build+probe independently (parallelizing the
-/// build as well), and the key-disjoint outputs concatenate into one gather.
-pub(crate) fn col_join_radix(left: &Relation, right: &Relation, threads: usize) -> Relation {
-    count_batch();
-    let out_schema = left.schema().union(right.schema());
-    let (build, probe) = if left.len() <= right.len() {
-        (left, right)
-    } else {
-        (right, left)
-    };
-    let (bpos, ppos) = super::join::join_key_positions(build.schema(), probe.schema());
-    let bh = key_hashes(build, &bpos);
-    let ph = key_hashes(probe, &ppos);
-    let parts_n = threads.max(1);
-    let bparts = partition_ids(&bh, parts_n);
-    let pparts = partition_ids(&ph, parts_n);
-    let pairs: Vec<(Vec<u32>, Vec<u32>)> = bparts.into_iter().zip(pparts).collect();
-    let parts = mjoin_pool::par_map(pairs, |(bids, pids)| {
-        ColJoin::over_ids(build, probe, &bpos, &ppos, &bids, &bh).probe_ids(&pids, &ph)
-    });
-    materialize_join(build, probe, &out_schema, &parts)
+    /// Distinct keys in the filter.
+    pub(crate) fn keys(&self) -> usize {
+        self.table.len()
+    }
+
+    /// The ids in `start..end` of `probe` (keyed at `ppos`, with
+    /// `probe_hashes` indexed globally) whose key's presence in the filter
+    /// is `present`.
+    pub(crate) fn select_range(
+        &self,
+        probe: &Relation,
+        ppos: &[usize],
+        probe_hashes: &[u64],
+        start: usize,
+        end: usize,
+        present: bool,
+    ) -> Vec<u32> {
+        let pcols = probe.columns();
+        (start..end)
+            .filter(|&j| {
+                let found = self
+                    .table
+                    .candidates(probe_hashes[j])
+                    .any(|i| ids_eq(self.cols, self.pos, i, pcols, ppos, j));
+                found == present
+            })
+            .map(|j| j as u32)
+            .collect()
+    }
 }
 
 /// Contiguous `(start, end)` ranges covering `0..n` in `pieces` chunks.
@@ -276,8 +262,8 @@ pub(crate) fn split_ranges(n: usize, pieces: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Partition row ids `0..hashes.len()` by hash into `parts` id lists (the
-/// columnar twin of [`super::hash_partition`], minus the row borrows).
+/// Partition row ids `0..hashes.len()` by hash into `parts` id lists. Rows
+/// that agree on the hashed key always land in the same list.
 pub(crate) fn partition_ids(hashes: &[u64], parts: usize) -> Vec<Vec<u32>> {
     let parts = parts.max(1);
     let mut out: Vec<Vec<u32>> = vec![Vec::new(); parts];
@@ -287,256 +273,21 @@ pub(crate) fn partition_ids(hashes: &[u64], parts: usize) -> Vec<Vec<u32>> {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Semijoin.
-
-/// A columnar semijoin filter: key-deduplicated [`RawTable`] over the filter
-/// side's key hashes.
-pub(crate) struct ColFilter<'a> {
-    fcols: &'a [Column],
-    fpos: &'a [usize],
-    table: RawTable,
-}
-
-impl<'a> ColFilter<'a> {
-    pub(crate) fn new(filter: &'a Relation, fpos: &'a [usize]) -> Self {
-        let fh = key_hashes(filter, fpos);
-        let fcols = filter.columns();
-        let mut table = RawTable::with_capacity(fh.len());
-        for (i, &h) in fh.iter().enumerate() {
-            if table
-                .candidates(h)
-                .any(|j| ids_eq(fcols, fpos, j, fcols, fpos, i))
-            {
-                continue;
-            }
-            table.insert(h, i as u32);
-        }
-        ColFilter { fcols, fpos, table }
-    }
-
-    /// Distinct keys in the filter.
-    pub(crate) fn keys(&self) -> usize {
-        self.table.len()
-    }
-
-    /// The ids in `start..end` of the probed side whose key is present.
-    pub(crate) fn matching_range(
-        &self,
-        pcols: &[Column],
-        ppos: &[usize],
-        probe_hashes: &[u64],
-        start: usize,
-        end: usize,
-    ) -> Vec<u32> {
-        (start..end)
-            .filter(|&j| {
-                self.table
-                    .candidates(probe_hashes[j])
-                    .any(|fi| ids_eq(self.fcols, self.fpos, fi, pcols, ppos, j))
-            })
-            .map(|j| j as u32)
-            .collect()
-    }
-}
-
-/// Columnar semijoin body, sequential or chunked over the pool; the caller
-/// has already handled the disjoint-schema degenerate case.
-pub(crate) fn col_semijoin(
-    left: &Relation,
-    right: &Relation,
-    lpos: &[usize],
-    rpos: &[usize],
-    threads: usize,
-) -> (Relation, usize) {
-    count_batch();
-    let filter = ColFilter::new(right, rpos);
-    let lh = key_hashes(left, lpos);
-    let lcols = left.columns();
-    let ids: Vec<u32> = if threads <= 1 {
-        filter.matching_range(lcols, lpos, &lh, 0, left.len())
-    } else {
-        mjoin_pool::par_map(split_ranges(left.len(), threads), |(s, e)| {
-            filter.matching_range(lcols, lpos, &lh, s, e)
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    };
-    let keys = filter.keys();
-    (gather_relation(left, &ids), keys)
-}
-
-// ---------------------------------------------------------------------------
-// Projection.
-
-/// Columnar projection: dedup by hashing the projected columns batch-wise
-/// (first-occurrence ids survive), then gather only the kept columns.
-/// `positions` map output schema order to input column positions.
-pub(crate) fn col_project_sequential(rel: &Relation, positions: &[usize]) -> Vec<u32> {
-    let h = key_hashes(rel, positions);
-    let cols = rel.columns();
-    dedup_ids_by_key(cols, positions, &h, (0..rel.len()).map(|i| i as u32))
-}
-
-/// Dedup an id stream by projected key: keeps the first occurrence of each
-/// distinct key, in stream order. `hashes` are global (indexed by id).
-pub(crate) fn dedup_ids_by_key(
-    cols: &[Column],
-    positions: &[usize],
-    hashes: &[u64],
-    ids: impl Iterator<Item = u32>,
-) -> Vec<u32> {
-    let (lo, hi) = ids.size_hint();
-    let mut table = RawTable::with_capacity(hi.unwrap_or(lo));
-    let mut out: Vec<u32> = Vec::new();
-    for i in ids {
-        let h = hashes[i as usize];
-        if table
-            .candidates(h)
-            .any(|j| ids_eq(cols, positions, j, cols, positions, i as usize))
-        {
-            continue;
-        }
-        table.insert(h, i);
-        out.push(i);
-    }
-    out
-}
-
-/// Gather the projection's output columns for the surviving `ids`.
-pub(crate) fn materialize_project(
-    rel: &Relation,
-    out_schema: &Schema,
-    positions: &[usize],
-    ids: &[u32],
-) -> Relation {
-    let cols = rel.columns();
-    let out: Vec<Column> = positions.iter().map(|&p| cols[p].gather(ids)).collect();
-    Relation::from_distinct_columns(out_schema.clone(), ids.len(), out)
-}
-
-// ---------------------------------------------------------------------------
-// Selection and set operations.
-
-/// Columnar `select_eq`: scan one column, gather all.
-pub(crate) fn col_select_eq(rel: &Relation, pos: usize, value: &crate::Value) -> Relation {
-    count_batch();
-    let col = &rel.columns()[pos];
-    let ids: Vec<u32> = (0..rel.len())
-        .filter(|&i| col.cell_eq_value(i, value))
-        .map(|i| i as u32)
-        .collect();
-    gather_relation(rel, &ids)
-}
-
-/// Columnar `select_where`: evaluate the row predicate against a transient
-/// scratch tuple (no row-view caching), gather survivors.
-pub(crate) fn col_select_where(rel: &Relation, pred: impl Fn(&[crate::Value]) -> bool) -> Relation {
-    count_batch();
-    let cols = rel.columns();
-    let mut scratch: Vec<crate::Value> = Vec::with_capacity(cols.len());
-    let mut ids: Vec<u32> = Vec::new();
-    for i in 0..rel.len() {
-        scratch.clear();
-        scratch.extend(cols.iter().map(|c| c.value(i)));
-        if pred(&scratch) {
-            ids.push(i as u32);
-        }
-    }
-    gather_relation(rel, &ids)
-}
-
-/// Shared body for the columnar set operations: a full-row hash table over
-/// `right`, membership-checked from `left`.
-struct SetTable<'a> {
-    rcols: &'a [Column],
-    all: Vec<usize>,
-    table: RawTable,
-}
-
-impl<'a> SetTable<'a> {
-    fn new(right: &'a Relation) -> (Self, Vec<u64>) {
-        let all: Vec<usize> = (0..right.schema().arity()).collect();
-        let rh = key_hashes(right, &all);
-        let mut table = RawTable::with_capacity(rh.len());
-        for (i, &h) in rh.iter().enumerate() {
-            table.insert(h, i as u32);
-        }
-        (
-            SetTable {
-                rcols: right.columns(),
-                all,
-                table,
-            },
-            rh,
-        )
-    }
-
-    fn contains(&self, lcols: &[Column], i: usize, hash: u64) -> bool {
-        self.table
-            .candidates(hash)
-            .any(|j| ids_eq(self.rcols, &self.all, j, lcols, &self.all, i))
-    }
-}
-
-/// Columnar union: `left`'s columns pass through; `right` contributes the
-/// rows absent from `left`, appended via one concat-gather per column.
-pub(crate) fn col_union(left: &Relation, right: &Relation) -> Relation {
-    count_batch();
-    let (set, _) = SetTable::new(left);
-    let all: Vec<usize> = (0..right.schema().arity()).collect();
-    let rh = key_hashes(right, &all);
-    let rcols = right.columns();
-    let fresh: Vec<u32> = (0..right.len())
-        .filter(|&i| !set.contains(rcols, i, rh[i]))
-        .map(|i| i as u32)
-        .collect();
-    let keep_left: Vec<u32> = (0..left.len() as u32).collect();
-    let lcols = left.columns();
-    let cols: Vec<Column> = lcols
-        .iter()
-        .zip(rcols.iter())
-        .map(|(lc, rc)| Column::concat_gathered(&[(lc, keep_left.as_slice()), (rc, &fresh)]))
-        .collect();
-    Relation::from_distinct_columns(left.schema().clone(), left.len() + fresh.len(), cols)
-}
-
-/// Columnar difference / intersection: filter `left`'s ids by membership in
-/// `right`, gather.
-pub(crate) fn col_diff_inter(left: &Relation, right: &Relation, keep_present: bool) -> Relation {
-    count_batch();
-    let (set, _) = SetTable::new(right);
-    let all: Vec<usize> = (0..left.schema().arity()).collect();
-    let lh = key_hashes(left, &all);
-    let lcols = left.columns();
-    let ids: Vec<u32> = (0..left.len())
-        .filter(|&i| set.contains(lcols, i, lh[i]) == keep_present)
-        .map(|i| i as u32)
-        .collect();
-    gather_relation(left, &ids)
-}
-
-// ---------------------------------------------------------------------------
-// Rename.
-
-/// Columnar rename: the data never moves — columns are re-ordered into the
-/// new schema's canonical order by `Arc` clone, using the same permutation
-/// the row path applies per tuple.
-pub(crate) fn col_rename(rel: &Relation, new_schema: &Schema, perm: &[usize]) -> Relation {
-    count_batch();
-    let cols = rel.columns();
-    let out: Vec<Column> = perm.iter().map(|&p| cols[p].clone()).collect();
-    Relation::from_distinct_columns(new_schema.clone(), rel.len(), out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attr::Catalog;
-    use crate::ops::hash_at;
+    use crate::relation::Row;
     use crate::relation_of_ints;
     use crate::value::Value;
+
+    /// The per-row definition of a key hash that [`key_hashes`] computes
+    /// batch-wise.
+    fn hash_of(row: &Row, positions: &[usize]) -> u64 {
+        positions
+            .iter()
+            .fold(0u64, |acc, &p| mix(acc, row[p].stable_hash()))
+    }
 
     #[test]
     fn batch_hashes_match_row_hashes() {
@@ -545,11 +296,11 @@ mod tests {
         let pos = [1usize, 0];
         let batch = key_hashes(&r, &pos);
         for (i, row) in r.rows().iter().enumerate() {
-            assert_eq!(batch[i], hash_at(row, &pos), "row {i}");
+            assert_eq!(batch[i], hash_of(row, &pos), "row {i}");
         }
-        // Empty key: constant hash in both engines.
+        // Empty key: one constant hash for every row.
         let empty = key_hashes(&r, &[]);
-        assert!(empty.iter().all(|&h| h == hash_at(&r.rows()[0], &[])));
+        assert!(empty.iter().all(|&h| h == hash_of(&r.rows()[0], &[])));
     }
 
     #[test]
@@ -564,7 +315,7 @@ mod tests {
         let pos = [0usize, 1];
         let batch = key_hashes(&r, &pos);
         for (i, row) in r.rows().iter().enumerate() {
-            assert_eq!(batch[i], hash_at(row, &pos));
+            assert_eq!(batch[i], hash_of(row, &pos));
         }
     }
 

@@ -1,12 +1,10 @@
 //! `RawTable` — the allocation-lean hash table behind every join and
 //! semijoin kernel.
 //!
-//! The original kernels keyed `FxHashMap`/`FxHashSet` by materialized
-//! `Box<[Value]>` keys: one heap allocation per build row *and one per probe
-//! row*, just to compare a handful of positions. `RawTable` stores only
-//! `(precomputed hash, build-row index)` entries in bucket chains; collisions
-//! resolve by comparing `row[pos]` slices positionally against the borrowed
-//! build rows, so neither building nor probing allocates at all.
+//! `RawTable` stores only `(precomputed hash, build-row index)` entries in
+//! bucket chains; collisions resolve by comparing key cells positionally
+//! against column data (`columnar::ids_eq`), so neither building nor probing
+//! materializes a key.
 //!
 //! The table is deliberately a *multimap*: duplicate keys simply share a
 //! bucket chain (they share a hash), which is what a join needs. Callers

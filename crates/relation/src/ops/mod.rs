@@ -2,16 +2,17 @@
 //! the set operations.
 //!
 //! All operators are hash-based and operate positionally: attribute-name
-//! resolution happens once per operator call, never per tuple. Each operator
-//! documents its relationship to the paper's statements (§2.2) and cost model
-//! (§2.3); cost accounting itself lives in [`crate::cost`] and is done by the
-//! callers that orchestrate evaluation.
+//! resolution happens once per operator call, never per tuple, and every
+//! kernel runs batch-at-a-time over the column-major storage (see the
+//! `columnar` module). Each operator documents its relationship to the
+//! paper's statements (§2.2) and cost model (§2.3); cost accounting itself
+//! lives in [`crate::cost`] and is done by the callers that orchestrate
+//! evaluation.
 
 mod columnar;
 mod hashtable;
 mod index;
 mod join;
-mod merge_join;
 mod par_join;
 mod project;
 mod rename;
@@ -26,7 +27,6 @@ pub use index::{
     JoinIndex,
 };
 pub use join::{join, join_key_positions};
-pub use merge_join::merge_join;
 pub use par_join::{par_join, par_join_cutoff};
 pub use project::{par_project, par_project_cutoff, project};
 pub use rename::rename;
@@ -37,12 +37,8 @@ pub use spill::{grace_hash_join, SpillStats};
 pub use trie::TrieIndex;
 
 pub use columnar::key_hashes;
-// `layout`/`set_layout`/`Layout` are defined below, alongside the
-// `par_cutoff` knobs.
 
-use crate::fxhash::mix;
-use crate::relation::Row;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Default parallel/sequential cutoff: below this row count the parallel
@@ -92,104 +88,4 @@ pub fn set_par_cutoff(rows: usize) {
     // usize::MAX is the "no override" sentinel; clamp just below it so a
     // caller asking for "always sequential" doesn't erase its own override.
     PAR_CUTOFF_OVERRIDE.store(rows.min(usize::MAX - 1), Ordering::Relaxed);
-}
-
-/// The physical storage layout the operators execute against.
-///
-/// The kernels are written twice: the historical tuple-at-a-time **row**
-/// engine (hash one `Row` at a time, splice output rows value-by-value) and
-/// the batch-at-a-time **columnar** engine (hash whole key columns by
-/// zipping column slices, verify candidates positionally against column
-/// data, late-materialize output by gathering selection vectors). Both
-/// produce identical relations — the differential test suite holds them
-/// against each other — and identical key *hashes* (see [`hash_at`]), so an
-/// index built under one layout probes correctly under the other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    /// Tuple-at-a-time kernels over the lazily materialized row view.
-    Row,
-    /// Batch kernels over the column vectors (the default).
-    Columnar,
-}
-
-/// Runtime layout override: 0 = no override (fall through to the env
-/// seed), 1 = row, 2 = columnar. As with [`PAR_CUTOFF_OVERRIDE`], readers
-/// never store here — the old lazy init called `set_layout` from `layout()`
-/// and could overwrite a concurrent runtime override with the env value.
-static LAYOUT_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// The environment-seeded layout, read exactly once per process.
-fn layout_env() -> Layout {
-    static ENV: OnceLock<Layout> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("MJOIN_LAYOUT") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("row") => Layout::Row,
-        _ => Layout::Columnar,
-    })
-}
-
-/// The process-wide storage layout the kernels dispatch on.
-///
-/// Seeded once from the `MJOIN_LAYOUT` environment variable (`row` selects
-/// the row engine; anything else — including unset — the columnar engine).
-/// Overridable at runtime with [`set_layout`]; the row engine exists as the
-/// honest baseline for `layout_speedup` benchmarking and for differential
-/// testing.
-pub fn layout() -> Layout {
-    match LAYOUT_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Layout::Row,
-        2 => Layout::Columnar,
-        _ => layout_env(),
-    }
-}
-
-/// Override the process-wide storage layout.
-pub fn set_layout(l: Layout) {
-    LAYOUT_OVERRIDE.store(
-        match l {
-            Layout::Row => 1,
-            Layout::Columnar => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// Hash the values at `positions` of `row` (the partition and join key).
-/// The kernels never materialize keys: this hash plus the positional
-/// comparison of [`keys_eq`] replace `Box<[Value]>` key allocation on both
-/// the build and probe sides.
-///
-/// Defined as the [`mix`]-fold of the cells' [`crate::Value::stable_hash`]es
-/// — exactly what the columnar [`key_hashes`] computes batch-wise from
-/// column slices — so the two layouts' hash tables interoperate bit-for-bit.
-#[inline]
-pub(crate) fn hash_at(row: &Row, positions: &[usize]) -> u64 {
-    positions
-        .iter()
-        .fold(0u64, |acc, &p| mix(acc, row[p].stable_hash()))
-}
-
-/// Whether `a` restricted to `apos` equals `b` restricted to `bpos`
-/// (positionally aligned key comparison; the collision check behind
-/// [`hashtable::RawTable`] candidates).
-#[inline]
-pub(crate) fn keys_eq(a: &Row, apos: &[usize], b: &Row, bpos: &[usize]) -> bool {
-    debug_assert_eq!(apos.len(), bpos.len());
-    apos.iter().zip(bpos).all(|(&i, &j)| a[i] == b[j])
-}
-
-/// Split `rows` into `parts` key-disjoint groups by hashing the values at
-/// `positions`. Zero-copy: the groups borrow the input rows. Rows that agree
-/// on the key always land in the same group, so per-group operator results
-/// can be concatenated without cross-group deduplication.
-pub(crate) fn hash_partition<'a>(
-    rows: &'a [Row],
-    positions: &[usize],
-    parts: usize,
-) -> Vec<Vec<&'a Row>> {
-    let parts = parts.max(1);
-    let mut out: Vec<Vec<&Row>> = vec![Vec::new(); parts];
-    for row in rows {
-        out[(hash_at(row, positions) as usize) % parts].push(row);
-    }
-    out
 }

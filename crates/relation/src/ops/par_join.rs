@@ -2,31 +2,31 @@
 //!
 //! Two strategies, chosen by build-side size:
 //!
-//! * **Shared-table chunked probe** (build side below [`SMALL`]): build the
-//!   hash table once, sequentially, then probe contiguous chunks of the big
-//!   side concurrently against the shared read-only table. No partitioning
-//!   pass touches the probed side at all, so the per-tuple overhead versus
-//!   the sequential join is essentially zero.
-//! * **Radix-style co-partitioning** (both sides large): both inputs are
-//!   partitioned by the hash of their natural-join key and the partitions
-//!   are joined independently, parallelizing the *build* as well as the
-//!   probe. Because partitions are key-disjoint, the union of the partition
-//!   joins *is* the join, and the outputs are disjoint (no deduplication
-//!   needed).
+//! * **Shared-table chunked probe** (build side below the cutoff): build
+//!   the hash table once, sequentially, then probe contiguous id ranges of
+//!   the big side concurrently against the shared read-only table. No
+//!   partitioning pass touches the probed side at all, so the per-tuple
+//!   overhead versus the sequential join is essentially zero.
+//! * **Radix-style co-partitioning** (both sides large): both inputs' row
+//!   ids are partitioned by the hash of their natural-join key and the
+//!   partition pairs are joined independently, parallelizing the *build* as
+//!   well as the probe. Because partitions are key-disjoint, the union of
+//!   the partition joins *is* the join, and the outputs are disjoint (no
+//!   deduplication needed).
 //!
 //! Semantically both are identical to [`super::join`]; the test suite
 //! checks them against each other.
 //!
-//! Unlike the earlier crossbeam-scoped version, partitioning is zero-copy:
-//! the partitions hold `&Row` borrows into the input relations, and only the
-//! joined output rows are materialized. Output row *order* is deterministic
-//! for a given `threads` value (chunks/partitions are concatenated in index
-//! order) but differs across thread counts; `Relation` equality is
-//! order-blind.
+//! Partitioning is zero-copy: the partitions are `u32` row-id lists, and
+//! every part's `(build, probe)` selection vectors are gathered once into
+//! the output columns. Output row *order* is deterministic for a given
+//! `threads` value (chunks/partitions are concatenated in index order) but
+//! differs across thread counts; `Relation` equality is order-blind.
 
-use super::join::{hash_join_rows, join, join_key_positions, JoinKernel};
-use super::{columnar, hash_partition, layout, par_cutoff, Layout};
-use crate::relation::{Relation, Row};
+use super::columnar::{key_hashes, materialize_join, partition_ids, split_ranges, ColJoin};
+use super::join::{join, join_key_positions};
+use super::par_cutoff;
+use crate::relation::Relation;
 
 /// Parallel natural join over `threads` partitions (clamped to ≥ 1), with
 /// the process-wide [`par_cutoff`] deciding the sequential fallback.
@@ -59,19 +59,23 @@ pub fn par_join_cutoff(
         sp.arg("out_rows", out.len());
         return out;
     }
+    let out_schema = left.schema().union(right.schema());
     let (build, probe) = if left.len() <= right.len() {
         (left, right)
     } else {
         (right, left)
     };
-    let (lkey, rkey) = join_key_positions(left.schema(), right.schema());
-    if build.len() < cutoff || lkey.is_empty() {
-        let out = if layout() == Layout::Columnar {
-            columnar::col_join_chunked(build, probe, threads)
-        } else {
-            columnar::count_row_path();
-            chunked_probe_join(build, probe, threads)
-        };
+    let (bpos, ppos) = join_key_positions(build.schema(), probe.schema());
+    if build.len() < cutoff || bpos.is_empty() {
+        // Build once, probe contiguous id ranges concurrently. Also the
+        // Cartesian-product path: with no join key every row hashes to the
+        // empty key, so each probe row matches all build rows.
+        let kernel = ColJoin::new(build, probe, &bpos, &ppos);
+        let ph = key_hashes(probe, &ppos);
+        let parts = mjoin_pool::par_map(split_ranges(probe.len(), threads), |(s, e)| {
+            kernel.probe_range(&ph, s, e)
+        });
+        let out = materialize_join(build, probe, &out_schema, &parts);
         sp.arg("strategy", "shared_build_probe");
         sp.arg("build_rows", build.len());
         sp.arg("probe_rows", probe.len());
@@ -79,45 +83,21 @@ pub fn par_join_cutoff(
         return out;
     }
 
-    if layout() == Layout::Columnar {
-        let out = columnar::col_join_radix(left, right, threads);
-        sp.arg("strategy", "radix_copartition");
-        sp.arg("partitions", threads);
-        sp.arg("out_rows", out.len());
-        return out;
-    }
-    columnar::count_row_path();
-    let out_schema = left.schema().union(right.schema());
-    let lparts = hash_partition(left.rows(), &lkey, threads);
-    let rparts = hash_partition(right.rows(), &rkey, threads);
-    let pairs: Vec<(Vec<&Row>, Vec<&Row>)> = lparts.into_iter().zip(rparts).collect();
+    let bh = key_hashes(build, &bpos);
+    let ph = key_hashes(probe, &ppos);
+    let pairs: Vec<(Vec<u32>, Vec<u32>)> = partition_ids(&bh, threads)
+        .into_iter()
+        .zip(partition_ids(&ph, threads))
+        .collect();
     let partitions = pairs.len();
-
-    let outputs = mjoin_pool::par_map(pairs, |(lp, rp)| {
-        hash_join_rows(left.schema(), &lp, right.schema(), &rp, &out_schema)
+    let parts = mjoin_pool::par_map(pairs, |(bids, pids)| {
+        ColJoin::over_ids(build, probe, &bpos, &ppos, &bids, &bh).probe_ids(&pids, &ph)
     });
-
-    let out = Relation::from_distinct_rows(out_schema, outputs.into_iter().flatten().collect());
+    let out = materialize_join(build, probe, &out_schema, &parts);
     sp.arg("strategy", "radix_copartition");
     sp.arg("partitions", partitions);
     sp.arg("out_rows", out.len());
     out
-}
-
-/// Build once on `build` (the smaller side), then probe contiguous chunks
-/// of `probe` concurrently against the shared read-only table. Also the
-/// Cartesian-product path: with no join key, every row maps to the empty
-/// key, so each probe row matches all build rows.
-fn chunked_probe_join(build: &Relation, probe: &Relation, threads: usize) -> Relation {
-    let out_schema = build.schema().union(probe.schema());
-    let brows: Vec<&Row> = build.rows().iter().collect();
-    let kernel = JoinKernel::new(build.schema(), &brows, probe.schema(), &out_schema);
-
-    let outputs = mjoin_pool::par_map_slices(probe.rows(), threads, |_, chunk| {
-        kernel.probe_rows(chunk.iter())
-    });
-
-    Relation::from_distinct_rows(out_schema, outputs.into_iter().flatten().collect())
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! Projection (`π`), with set-semantics deduplication.
 
-use super::{columnar, hash_partition, layout, par_cutoff, Layout};
+use super::columnar::{ids_eq, key_hashes, partition_ids};
+use super::hashtable::RawTable;
+use super::par_cutoff;
 use crate::attr::AttrId;
+use crate::column::Column;
 use crate::error::Result;
-use crate::fxhash::FxHashSet;
-use crate::relation::{Relation, Row};
+use crate::relation::Relation;
 use crate::schema::Schema;
 
 /// Project `rel` onto `attrs` (which must all belong to `rel`'s schema),
@@ -12,6 +14,8 @@ use crate::schema::Schema;
 ///
 /// This implements the paper's project statement `R(U) := π_U R(S)` with the
 /// requirement `U ⊆ S`; violating that is an error, not a silent extension.
+/// Deduplication hashes the projected columns batch-wise (first-occurrence
+/// ids survive), then only the kept columns are gathered.
 pub fn project(rel: &Relation, attrs: &[AttrId]) -> Result<Relation> {
     let out_schema = Schema::new(attrs.to_vec());
     let positions = rel.schema().positions_of(out_schema.attrs())?;
@@ -21,37 +25,58 @@ pub fn project(rel: &Relation, attrs: &[AttrId]) -> Result<Relation> {
         return Ok(rel.clone());
     }
 
-    if layout() == Layout::Columnar {
-        columnar::count_batch();
-        let ids = columnar::col_project_sequential(rel, &positions);
-        return Ok(columnar::materialize_project(
-            rel,
-            &out_schema,
-            &positions,
-            &ids,
-        ));
-    }
-    columnar::count_row_path();
-    let mut seen: FxHashSet<Row> = FxHashSet::default();
-    seen.reserve(rel.len());
-    let mut rows: Vec<Row> = Vec::new();
-    for row in rel.rows() {
-        let out: Row = positions.iter().map(|&p| row[p].clone()).collect();
-        if seen.insert(out.clone()) {
-            rows.push(out);
+    let hashes = key_hashes(rel, &positions);
+    let ids = dedup_ids_by_key(
+        rel.columns(),
+        &positions,
+        &hashes,
+        (0..rel.len()).map(|i| i as u32),
+    );
+    Ok(materialize(rel, &out_schema, &positions, &ids))
+}
+
+/// Dedup an id stream by projected key: keeps the first occurrence of each
+/// distinct key, in stream order. `hashes` are global (indexed by id).
+fn dedup_ids_by_key(
+    cols: &[Column],
+    positions: &[usize],
+    hashes: &[u64],
+    ids: impl Iterator<Item = u32>,
+) -> Vec<u32> {
+    let (lo, hi) = ids.size_hint();
+    let mut table = RawTable::with_capacity(hi.unwrap_or(lo));
+    let mut out: Vec<u32> = Vec::new();
+    for i in ids {
+        let h = hashes[i as usize];
+        if table
+            .candidates(h)
+            .any(|j| ids_eq(cols, positions, j, cols, positions, i as usize))
+        {
+            continue;
         }
+        table.insert(h, i);
+        out.push(i);
     }
-    Ok(Relation::from_distinct_rows(out_schema, rows))
+    out
+}
+
+/// Gather the projection's output columns for the surviving `ids`.
+/// `positions` map output schema order to input column positions.
+fn materialize(rel: &Relation, out_schema: &Schema, positions: &[usize], ids: &[u32]) -> Relation {
+    let cols = rel.columns();
+    let out: Vec<Column> = positions.iter().map(|&p| cols[p].gather(ids)).collect();
+    Relation::from_distinct_columns(out_schema.clone(), ids.len(), out)
 }
 
 /// Parallel projection with partition-then-merge deduplication.
 ///
-/// Input rows are partitioned by the hash of the *projected* values, so all
+/// Row ids are partitioned by the hash of the *projected* values, so all
 /// rows that project to the same tuple land in the same partition; each
-/// partition projects and deduplicates independently on the shared pool, and
-/// the merge step is plain concatenation (no cross-partition duplicates are
-/// possible). Row order is unspecified but deterministic for a given
-/// `threads` value; `Relation` equality is order-blind.
+/// partition deduplicates independently on the shared pool against the one
+/// shared hash vector, and the surviving ids are gathered in one pass (no
+/// cross-partition duplicates are possible). Row order is unspecified but
+/// deterministic for a given `threads` value; `Relation` equality is
+/// order-blind.
 pub fn par_project(rel: &Relation, attrs: &[AttrId], threads: usize) -> Result<Relation> {
     par_project_cutoff(rel, attrs, threads, par_cutoff())
 }
@@ -86,43 +111,15 @@ pub fn par_project_cutoff(
         return Ok(rel.clone());
     }
 
-    if layout() == Layout::Columnar {
-        columnar::count_batch();
-        // Partition ids by projected-key hash (duplicates collide in one
-        // partition), dedup each partition against the shared hash vector,
-        // then gather the surviving ids in one pass.
-        let hashes = columnar::key_hashes(rel, &positions);
-        let cols = rel.columns();
-        let parts = columnar::partition_ids(&hashes, threads);
-        let partitions = parts.len();
-        let kept = mjoin_pool::par_map(parts, |ids| {
-            columnar::dedup_ids_by_key(cols, &positions, &hashes, ids.into_iter())
-        });
-        let ids: Vec<u32> = kept.into_iter().flatten().collect();
-        let out = columnar::materialize_project(rel, &out_schema, &positions, &ids);
-        sp.arg("strategy", "partitioned");
-        sp.arg("partitions", partitions);
-        sp.arg("out_rows", out.len());
-        sp.arg("dedup_dropped", rel.len().saturating_sub(out.len()));
-        return Ok(out);
-    }
-    columnar::count_row_path();
-    let parts = hash_partition(rel.rows(), &positions, threads);
+    let hashes = key_hashes(rel, &positions);
+    let cols = rel.columns();
+    let parts = partition_ids(&hashes, threads);
     let partitions = parts.len();
-    let outputs = mjoin_pool::par_map(parts, |part| {
-        let mut seen: FxHashSet<Row> = FxHashSet::default();
-        seen.reserve(part.len());
-        let mut rows: Vec<Row> = Vec::new();
-        for row in part {
-            let out: Row = positions.iter().map(|&p| row[p].clone()).collect();
-            if seen.insert(out.clone()) {
-                rows.push(out);
-            }
-        }
-        rows
+    let kept = mjoin_pool::par_map(parts, |ids| {
+        dedup_ids_by_key(cols, &positions, &hashes, ids.into_iter())
     });
-
-    let out = Relation::from_distinct_rows(out_schema, outputs.into_iter().flatten().collect());
+    let ids: Vec<u32> = kept.into_iter().flatten().collect();
+    let out = materialize(rel, &out_schema, &positions, &ids);
     sp.arg("strategy", "partitioned");
     sp.arg("partitions", partitions);
     sp.arg("out_rows", out.len());

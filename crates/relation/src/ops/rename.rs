@@ -6,15 +6,17 @@
 //! relational substrate needs it (e.g. self-joins in the examples).
 
 use crate::attr::AttrId;
+use crate::column::Column;
 use crate::error::{Error, Result};
-use crate::relation::{Relation, Row};
+use crate::relation::Relation;
 use crate::schema::Schema;
 
 /// Rename attributes of `rel` according to `(from, to)` pairs.
 ///
 /// Every `from` must be in the schema; attributes not mentioned are kept.
 /// The resulting attribute set must not collapse two columns into one
-/// (renaming is a bijection on the schema).
+/// (renaming is a bijection on the schema). The data never moves: columns
+/// are re-ordered into the new schema's canonical order by `Arc` clone.
 pub fn rename(rel: &Relation, mapping: &[(AttrId, AttrId)]) -> Result<Relation> {
     for (from, _) in mapping {
         if !rel.schema().contains(*from) {
@@ -34,8 +36,8 @@ pub fn rename(rel: &Relation, mapping: &[(AttrId, AttrId)]) -> Result<Relation> 
             "rename would merge two attributes into one".to_string(),
         ));
     }
-    // Rows must be permuted into the new schema's canonical order.
-    let perm: Vec<usize> = new_schema
+    let cols = rel.columns();
+    let out: Vec<Column> = new_schema
         .attrs()
         .iter()
         .map(|&na| {
@@ -44,17 +46,9 @@ pub fn rename(rel: &Relation, mapping: &[(AttrId, AttrId)]) -> Result<Relation> 
                 .position(|&x| x == na)
                 .expect("bijective rename")
         })
+        .map(|p| cols[p].clone())
         .collect();
-    if super::layout() == super::Layout::Columnar {
-        return Ok(super::columnar::col_rename(rel, &new_schema, &perm));
-    }
-    super::columnar::count_row_path();
-    let rows: Vec<Row> = rel
-        .rows()
-        .iter()
-        .map(|row| perm.iter().map(|&p| row[p].clone()).collect())
-        .collect();
-    Ok(Relation::from_distinct_rows(new_schema, rows))
+    Ok(Relation::from_distinct_columns(new_schema, rel.len(), out))
 }
 
 #[cfg(test)]

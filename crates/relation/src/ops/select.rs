@@ -1,45 +1,44 @@
 //! Selection (`σ`). Not used by the paper's algorithms themselves, but part
 //! of any adoptable relational substrate and handy for building workloads.
 
+use super::columnar::gather_relation;
 use crate::attr::AttrId;
 use crate::error::{Error, Result};
-use crate::relation::{Relation, Row};
+use crate::relation::Relation;
 use crate::value::Value;
 
-/// Select the tuples whose `attr` column equals `value`.
-///
-/// The columnar engine scans exactly one column and gathers survivors; the
-/// row engine filters and clones whole rows.
+/// Select the tuples whose `attr` column equals `value`: scan that one
+/// column, then gather the survivors.
 pub fn select_eq(rel: &Relation, attr: AttrId, value: &Value) -> Result<Relation> {
     let pos = rel
         .schema()
         .position(attr)
         .ok_or_else(|| Error::AttributeNotInSchema(attr.to_string()))?;
-    if super::layout() == super::Layout::Columnar {
-        return Ok(super::columnar::col_select_eq(rel, pos, value));
-    }
-    super::columnar::count_row_path();
-    let rows: Vec<Row> = rel
-        .rows()
-        .iter()
-        .filter(|r| &r[pos] == value)
-        .cloned()
+    let col = &rel.columns()[pos];
+    let ids: Vec<u32> = (0..rel.len())
+        .filter(|&i| col.cell_eq_value(i, value))
+        .map(|i| i as u32)
         .collect();
-    Ok(Relation::from_distinct_rows(rel.schema().clone(), rows))
+    Ok(gather_relation(rel, &ids))
 }
 
 /// Select the tuples satisfying an arbitrary predicate over the whole row.
 ///
-/// The predicate sees values in the relation's canonical column order (the
-/// columnar engine feeds it a transient scratch tuple per row, keeping the
-/// output column-major without caching a row view).
+/// The predicate sees values in the relation's canonical column order, in a
+/// transient scratch tuple per row, so the output stays column-major without
+/// caching a row view.
 pub fn select_where(rel: &Relation, pred: impl Fn(&[Value]) -> bool) -> Relation {
-    if super::layout() == super::Layout::Columnar {
-        return super::columnar::col_select_where(rel, pred);
+    let cols = rel.columns();
+    let mut scratch: Vec<Value> = Vec::with_capacity(cols.len());
+    let mut ids: Vec<u32> = Vec::new();
+    for i in 0..rel.len() {
+        scratch.clear();
+        scratch.extend(cols.iter().map(|c| c.value(i)));
+        if pred(&scratch) {
+            ids.push(i as u32);
+        }
     }
-    super::columnar::count_row_path();
-    let rows: Vec<Row> = rel.rows().iter().filter(|r| pred(r)).cloned().collect();
-    Relation::from_distinct_rows(rel.schema().clone(), rows)
+    gather_relation(rel, &ids)
 }
 
 #[cfg(test)]

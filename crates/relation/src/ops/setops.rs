@@ -1,8 +1,9 @@
 //! Set operations over relations with identical schemas.
 
+use super::columnar::{gather_relation, key_hashes, KeyFilter};
+use crate::column::Column;
 use crate::error::{Error, Result};
-use crate::fxhash::FxHashSet;
-use crate::relation::{Relation, Row};
+use crate::relation::Relation;
 
 fn require_same_schema(left: &Relation, right: &Relation) -> Result<()> {
     if left.schema() != right.schema() {
@@ -15,55 +16,44 @@ fn require_same_schema(left: &Relation, right: &Relation) -> Result<()> {
     Ok(())
 }
 
-/// Set union `left ∪ right`.
+/// The ids of `of`'s rows whose presence in `set` (same schema, compared on
+/// whole rows) is `present`.
+fn ids_by_presence(set: &Relation, of: &Relation, present: bool) -> Vec<u32> {
+    let all: Vec<usize> = (0..set.schema().arity()).collect();
+    let hashes = key_hashes(of, &all);
+    KeyFilter::new(set, &all).select_range(of, &all, &hashes, 0, of.len(), present)
+}
+
+/// Set union `left ∪ right`: `left`'s columns pass through, and `right`
+/// contributes the rows absent from `left`, appended by one concat-gather
+/// per column.
 pub fn union(left: &Relation, right: &Relation) -> Result<Relation> {
     require_same_schema(left, right)?;
-    if super::layout() == super::Layout::Columnar {
-        return Ok(super::columnar::col_union(left, right));
-    }
-    super::columnar::count_row_path();
-    let mut seen: FxHashSet<Row> = left.rows().iter().cloned().collect();
-    let mut rows: Vec<Row> = left.rows().to_vec();
-    for row in right.rows() {
-        if seen.insert(row.clone()) {
-            rows.push(row.clone());
-        }
-    }
-    Ok(Relation::from_distinct_rows(left.schema().clone(), rows))
+    let fresh = ids_by_presence(left, right, false);
+    let keep_left: Vec<u32> = (0..left.len() as u32).collect();
+    let cols: Vec<Column> = left
+        .columns()
+        .iter()
+        .zip(right.columns())
+        .map(|(lc, rc)| Column::concat_gathered(&[(lc, keep_left.as_slice()), (rc, &fresh)]))
+        .collect();
+    Ok(Relation::from_distinct_columns(
+        left.schema().clone(),
+        left.len() + fresh.len(),
+        cols,
+    ))
 }
 
 /// Set difference `left − right`.
 pub fn difference(left: &Relation, right: &Relation) -> Result<Relation> {
     require_same_schema(left, right)?;
-    if super::layout() == super::Layout::Columnar {
-        return Ok(super::columnar::col_diff_inter(left, right, false));
-    }
-    super::columnar::count_row_path();
-    let exclude: FxHashSet<&Row> = right.rows().iter().collect();
-    let rows: Vec<Row> = left
-        .rows()
-        .iter()
-        .filter(|r| !exclude.contains(*r))
-        .cloned()
-        .collect();
-    Ok(Relation::from_distinct_rows(left.schema().clone(), rows))
+    Ok(gather_relation(left, &ids_by_presence(right, left, false)))
 }
 
 /// Set intersection `left ∩ right`.
 pub fn intersection(left: &Relation, right: &Relation) -> Result<Relation> {
     require_same_schema(left, right)?;
-    if super::layout() == super::Layout::Columnar {
-        return Ok(super::columnar::col_diff_inter(left, right, true));
-    }
-    super::columnar::count_row_path();
-    let keep: FxHashSet<&Row> = right.rows().iter().collect();
-    let rows: Vec<Row> = left
-        .rows()
-        .iter()
-        .filter(|r| keep.contains(*r))
-        .cloned()
-        .collect();
-    Ok(Relation::from_distinct_rows(left.schema().clone(), rows))
+    Ok(gather_relation(left, &ids_by_presence(right, left, true)))
 }
 
 #[cfg(test)]

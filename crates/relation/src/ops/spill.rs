@@ -5,8 +5,9 @@
 //! the in-memory kernels: both operands are hash-partitioned by their
 //! shared-key values into `p` temp files per side via the streaming TSV
 //! writer, then each partition pair — 1/p of each input in expectation — is
-//! joined in memory with the shared [`hash_join_rows`] kernel and the
-//! results concatenated. Rows that agree on the key hash to the same
+//! read back and joined in memory with [`super::join`], and the per-pair
+//! outputs are concatenated column by column. Rows that agree on the key
+//! hash ([`key_hashes`]) to the same
 //! partition index on both sides, so no join pair is ever split across
 //! partitions and per-pair outputs are key-disjoint (hence globally
 //! distinct).
@@ -16,8 +17,8 @@
 //! so in-memory plans pay no check at all. This module only knows how to
 //! spill once asked.
 
-use super::join::hash_join_rows;
-use super::{hash_at, join_key_positions};
+use super::{join, join_key_positions, key_hashes};
+use crate::column::Column;
 use crate::relation::{Relation, Row};
 use crate::tsv::{read_rows_tsv, write_row_tsv};
 use std::fs::File;
@@ -78,8 +79,8 @@ fn partition_to_disk(
         writers.push(w);
     }
     let mut bytes = 0u64;
-    for row in rel.rows().iter() {
-        let k = (hash_at(row, pos) as usize) % p;
+    for (row, h) in rel.rows().iter().zip(key_hashes(rel, pos)) {
+        let k = (h as usize) % p;
         bytes += write_row_tsv(&mut writers[k], row)? as u64;
     }
     for mut w in writers {
@@ -121,7 +122,7 @@ pub fn grace_hash_join(
     let (lfiles, lbytes) = partition_to_disk(left, &lpos, p)?;
     let (rfiles, rbytes) = partition_to_disk(right, &rpos, p)?;
     let (larity, rarity) = (left.schema().arity(), right.schema().arity());
-    let mut out_rows: Vec<Row> = Vec::new();
+    let mut outputs: Vec<Relation> = Vec::new();
     for k in 0..p {
         let lrows = read_partition(&lfiles[k], larity)?;
         if lrows.is_empty() {
@@ -131,17 +132,27 @@ pub fn grace_hash_join(
         if rrows.is_empty() {
             continue;
         }
-        let lrefs: Vec<&Row> = lrows.iter().collect();
-        let rrefs: Vec<&Row> = rrows.iter().collect();
-        out_rows.extend(hash_join_rows(
-            left.schema(),
-            &lrefs,
-            right.schema(),
-            &rrefs,
-            &out_schema,
-        ));
+        let lpart = Relation::from_distinct_rows(left.schema().clone(), lrows);
+        let rpart = Relation::from_distinct_rows(right.schema().clone(), rrows);
+        outputs.push(join(&lpart, &rpart));
     }
-    let rel = Relation::from_distinct_rows(out_schema, out_rows);
+    // Partition outputs are key-disjoint, hence distinct across pairs.
+    let nrows: usize = outputs.iter().map(Relation::len).sum();
+    let all: Vec<Vec<u32>> = outputs
+        .iter()
+        .map(|o| (0..o.len() as u32).collect())
+        .collect();
+    let cols: Vec<Column> = (0..out_schema.arity())
+        .map(|c| {
+            let parts: Vec<(&Column, &[u32])> = outputs
+                .iter()
+                .zip(&all)
+                .map(|(o, ids)| (&o.columns()[c], ids.as_slice()))
+                .collect();
+            Column::concat_gathered(&parts)
+        })
+        .collect();
+    let rel = Relation::from_distinct_columns(out_schema, nrows, cols);
     Ok((
         rel,
         SpillStats {

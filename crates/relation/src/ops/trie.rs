@@ -115,14 +115,10 @@ impl TrieIndex {
     /// Resident bytes — the level columns plus the pinned relation's
     /// payload, mirroring [`super::JoinIndex::resident_bytes`] so the two
     /// index kinds share one cache byte budget. Dictionary pools are shared
-    /// with the relation and counted on its side.
+    /// with the relation and counted on its side. Exact: building the trie
+    /// already materialized the column view.
     pub fn resident_bytes(&self) -> usize {
-        let rel_bytes = if self.rel.columns_materialized() {
-            self.rel.resident_col_bytes()
-        } else {
-            self.rel.len() * self.rel.schema().arity() * std::mem::size_of::<Value>()
-        };
-        self.heap_bytes() + rel_bytes
+        self.heap_bytes() + self.rel.resident_col_bytes()
     }
 
     /// The value of the cell at `level`, row `i` (an `Arc` bump for interned

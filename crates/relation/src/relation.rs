@@ -192,12 +192,6 @@ impl Relation {
         })
     }
 
-    /// Whether the columnar view has been materialized (for tests and
-    /// accounting; never forces a build).
-    pub fn columns_materialized(&self) -> bool {
-        self.cols.get().is_some()
-    }
-
     /// Materialize row `i` from whichever view is cheapest. Only the debug
     /// distinctness check in [`Relation::from_distinct_columns`] needs this;
     /// everything else works batch-wise.

@@ -1,6 +1,8 @@
-//! Differential property tests: the three join implementations (hash,
-//! sort-merge, partitioned parallel) must agree on arbitrary inputs, and all
-//! must satisfy the algebraic size bounds.
+//! Differential property tests: the three joins (hash, partitioned
+//! parallel, and the nested-loop reference) must agree on arbitrary inputs,
+//! and all must satisfy the algebraic size bounds.
+
+mod reference;
 
 use mjoin_relation::{ops, Catalog, Relation, Schema, Value};
 use proptest::prelude::*;
@@ -20,6 +22,12 @@ fn rows(arity: usize, max: usize) -> impl Strategy<Value = Vec<Vec<i64>>> {
     prop::collection::vec(prop::collection::vec(0..6i64, arity), 0..max)
 }
 
+/// The nested-loop reference join as a relation, for `prop_assert_eq!`.
+fn nested_loop(r: &Relation, s: &Relation) -> Relation {
+    let (schema, tuples) = reference::join(r, s);
+    Relation::from_tuples(schema, tuples.into_iter().collect()).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -28,10 +36,11 @@ proptest! {
         let mut c = Catalog::new();
         let r = rel(&mut c, "AB", &ra);
         let s = rel(&mut c, "BC", &rb);
-        let hash = ops::join(&r, &s);
-        prop_assert_eq!(&ops::merge_join(&r, &s), &hash);
+        let want = nested_loop(&r, &s);
+        prop_assert_eq!(&ops::join(&r, &s), &want);
         for threads in [2usize, 4] {
-            prop_assert_eq!(&ops::par_join(&r, &s, threads), &hash);
+            prop_assert_eq!(&ops::par_join(&r, &s, threads), &want);
+            prop_assert_eq!(&ops::par_join_cutoff(&r, &s, threads, 0), &want);
         }
     }
 
@@ -42,7 +51,7 @@ proptest! {
         let s = rel(&mut c, "B", &rb);
         let hash = ops::join(&r, &s);
         prop_assert_eq!(hash.len(), r.len() * s.len());
-        prop_assert_eq!(&ops::merge_join(&r, &s), &hash);
+        prop_assert_eq!(&nested_loop(&r, &s), &hash);
         prop_assert_eq!(&ops::par_join(&r, &s, 3), &hash);
     }
 
@@ -52,9 +61,10 @@ proptest! {
         let mut c = Catalog::new();
         let r = rel(&mut c, "ABC", &ra);
         let s = rel(&mut c, "BCD", &rb);
-        let hash = ops::join(&r, &s);
-        prop_assert_eq!(&ops::merge_join(&r, &s), &hash);
-        prop_assert_eq!(&ops::par_join(&r, &s, 4), &hash);
+        let want = nested_loop(&r, &s);
+        prop_assert_eq!(&ops::join(&r, &s), &want);
+        prop_assert_eq!(&ops::par_join(&r, &s, 4), &want);
+        prop_assert_eq!(&ops::par_join_cutoff(&r, &s, 4, 0), &want);
     }
 
     #[test]
@@ -63,7 +73,7 @@ proptest! {
         let mut c = Catalog::new();
         let r = rel(&mut c, "AB", &ra);
         let s = rel(&mut c, "BC", &rb);
-        let j = ops::merge_join(&r, &s);
+        let j = nested_loop(&r, &s);
         let back = ops::project(&j, r.schema().attrs()).unwrap();
         prop_assert_eq!(back, ops::semijoin(&r, &s));
     }
